@@ -5,8 +5,8 @@
 //  (b) Merkle-only (Algorithm 2 disabled): each partition's response
 //      still authenticates perfectly, yet snapshots tear across
 //      partitions — the Figure 1 anomaly, quantified.
-//  (c) Strict fixpoint mode: the extension documented in DESIGN.md §4;
-//      reports the round distribution.
+//  (c) Strict fixpoint mode: the extension documented in ARCHITECTURE.md
+//      §Design notes; reports the round distribution.
 
 #include <functional>
 

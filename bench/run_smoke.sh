@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke benchmark: runs the micro-benchmarks and a shrunken Figure-4
 # bench with tiny parameters and emits one JSON document, seeding the
-# BENCH_*.json perf trajectory. Fast enough for CI (~1 min).
+# BENCH_*.json perf trajectory. The benches run one after another on
+# one core: about 160 s wall time for a Release build on a 4-core Xeon
+# host.
 #
 # Usage: bench/run_smoke.sh [output.json]
 #   BUILD_DIR  build tree holding the bench binaries (default: build)

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_apply.h"
 #include "txn/cd_vector.h"
 
 namespace transedge::core {
@@ -285,8 +284,12 @@ void SealAndProposeBatch(
   // synchronous apply).
   ProposalChain chain = ctx->proposal_chain();
   merkle::MerkleTree post_tree = chain.head_tree->Clone();
-  ApplyBatchWritesToTree(&post_tree, ctx->partition_map(), ctx->partition(),
-                         batch, ctx->prepared_batches());
+  const txn::PreparedBatches& prepared = ctx->prepared_batches();
+  for (const WriteOp& w : storage::AppliedWrites(
+           batch, ctx->partition_map(), ctx->partition(),
+           [&](TxnId id) { return prepared.FindTxn(id); })) {
+    post_tree.Put(w.key, w.value, batch.id);
+  }
   batch.ro.merkle_root = post_tree.RootDigest();
 
   propose(std::move(batch), std::move(post_tree));

@@ -418,7 +418,8 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   }
   if (!needed.empty()) {
     // Residual unsatisfied dependency after the paper's two rounds — the
-    // diagnostic Theorem 4.6 claims is impossible (see DESIGN.md §4).
+    // diagnostic Theorem 4.6 claims is impossible (see ARCHITECTURE.md
+    // §Design notes).
     result.needed_third_round = true;
     ++stats_.ro_third_round_would_be_needed;
   }

@@ -14,7 +14,7 @@ namespace transedge::core {
 /// Simulated CPU costs of the operations a replica performs. The values
 /// are calibrated so that the *shapes* of the paper's curves (batching
 /// sweet spots, consensus overheads, proof-serving costs) emerge from the
-/// same mechanics; see EXPERIMENTS.md for the calibration notes.
+/// same mechanics; see ARCHITECTURE.md §Design notes for the calibration.
 struct CostModel {
   /// Leader-side admission: conflict detection for one transaction
   /// (Definition 3.1) against the store and indexes.
@@ -186,11 +186,11 @@ struct SystemConfig {
   /// theorem's transitivity argument does not cover: the batch serving a
   /// second-round request may *collaterally* commit additional prepare
   /// groups whose dependencies no first-round CD vector reported (see
-  /// DESIGN.md §4). With `strict_ro_rounds` the client keeps issuing
-  /// targeted rounds until the dependency check passes (observed to
-  /// settle within 3-4 rounds); without it the client behaves exactly as
-  /// the paper specifies and counts the residual cases in
-  /// `ClientStats::ro_third_round_would_be_needed`.
+  /// ARCHITECTURE.md §Design notes). With `strict_ro_rounds` the client
+  /// keeps issuing targeted rounds until the dependency check passes
+  /// (observed to settle within 3-4 rounds); without it the client
+  /// behaves exactly as the paper specifies and counts the residual
+  /// cases in `ClientStats::ro_third_round_would_be_needed`.
   bool strict_ro_rounds = false;
   int max_ro_rounds = 8;
 

@@ -3,7 +3,6 @@
 #include <set>
 #include <vector>
 
-#include "core/batch_apply.h"
 #include "txn/cd_vector.h"
 #include "core/footprint_index.h"
 #include "txn/prepared_batches.h"
@@ -215,8 +214,10 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
             ? *chain->head_tree
             : ctx->decided_tree();
     *post_tree = base.Clone();
-    ApplyBatchWritesToTree(post_tree, ctx->partition_map(), ctx->partition(),
-                           batch, find_txn);
+    for (const WriteOp& w : storage::AppliedWrites(
+             batch, ctx->partition_map(), ctx->partition(), find_txn)) {
+      post_tree->Put(w.key, w.value, batch.id);
+    }
     if (post_tree->RootDigest() != batch.ro.merkle_root) {
       return Status::VerificationFailed("merkle root mismatch");
     }

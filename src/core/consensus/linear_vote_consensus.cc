@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/batch_apply.h"
 #include "core/consensus/batch_validation.h"
 
 namespace transedge::core {
@@ -898,8 +897,12 @@ bool LinearVoteConsensus::ApplyCatchUpEntry(
   // apply the log tail is ahead of storage, and this entry chains off
   // the last *decided* batch's post-state.
   merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
-  ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(), ctx_->partition(),
-                         batch, ctx_->prepared_batches());
+  const txn::PreparedBatches& prepared = ctx_->prepared_batches();
+  for (const WriteOp& w : storage::AppliedWrites(
+           batch, ctx_->partition_map(), ctx_->partition(),
+           [&](TxnId id) { return prepared.FindTxn(id); })) {
+    post_tree.Put(w.key, w.value, batch.id);
+  }
   if (post_tree.RootDigest() != batch.ro.merkle_root) return false;
 
   auto [it, inserted] = instances_.try_emplace(batch.id, config.merkle_depth);

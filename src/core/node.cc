@@ -366,12 +366,18 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   PendingApply entry;
   entry.id = batch.id;
 
+  // Resolve the batch's write set once, while its prepare groups are
+  // still registered; the decided overlay, the apply cost and the store
+  // install all walk this one vector.
+  entry.writes = storage::AppliedWrites(
+      batch, partition_map_, partition_,
+      [this](TxnId id) { return prepared_batches_.FindTxn(id); });
+
   // Pop the committed prepare groups — by id, not position: the
   // certified commit order is authoritative, and popping positionally
   // would silently consume the wrong group if local queue order ever
-  // diverged from it. The groups travel with the apply entry; their
-  // pending-footprint share is released now, since admission and
-  // validation key off the decided state.
+  // diverged from it. Their pending-footprint share is released now,
+  // since admission and validation key off the decided state.
   std::vector<BatchId> group_ids;
   for (const storage::CommitRecord& rec : batch.committed) {
     if (group_ids.empty() || group_ids.back() != rec.prepared_in_batch) {
@@ -382,11 +388,9 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
     Result<txn::PrepareGroup> popped = prepared_batches_.PopGroup(gid);
     assert(popped.ok());
     if (!popped.ok()) continue;
-    txn::PrepareGroup group = std::move(popped).value();
-    for (txn::PendingTxn& pending : group.txns) {
+    for (const txn::PendingTxn& pending : popped.value().txns) {
       pending_index_.Remove(pending.txn);
     }
-    entry.groups.push_back(std::move(group));
   }
 
   // Register the new prepare group so the read-only segment of a later
@@ -404,23 +408,7 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   }
 
   // Advance the decided watermark: version overlay, decided tree, log.
-  auto record_decided_write = [&](const Transaction& t) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      decided_versions_[w.key] = batch.id;
-    }
-  };
-  for (const Transaction& t : batch.local) record_decided_write(t);
-  for (const txn::PrepareGroup& group : entry.groups) {
-    for (const txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        record_decided_write(pending.txn);
-      }
-    }
-  }
+  for (const WriteOp& w : entry.writes) decided_versions_[w.key] = batch.id;
   decided_tree_ = post_tree.Clone();
   entry.post_tree = std::move(post_tree);
 
@@ -465,25 +453,11 @@ sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
   // whole subtree of the authenticated structure) and pay for the
   // slowest shard plus the spine recombine.
   std::vector<size_t> loads(shards, 0);
-  auto count = [&](const Transaction& t) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      uint32_t leaf =
-          merkle::MerkleTree::LeafIndexFor(w.key, config_.merkle_depth);
-      ++loads[merkle::MerkleTree::LeafShardOf(leaf, config_.merkle_depth,
-                                              shards)];
-    }
-  };
-  for (const Transaction& t : batch.local) count(t);
-  for (const txn::PrepareGroup& group : entry.groups) {
-    for (const txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        count(pending.txn);
-      }
-    }
+  for (const WriteOp& w : entry.writes) {
+    uint32_t leaf =
+        merkle::MerkleTree::LeafIndexFor(w.key, config_.merkle_depth);
+    ++loads[merkle::MerkleTree::LeafShardOf(leaf, config_.merkle_depth,
+                                            shards)];
   }
   return ShardedApplyCost(n, loads);
 }
@@ -495,32 +469,13 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
   const storage::Batch& batch = logged.batch;
 
   std::vector<Key> written;
-  auto apply_write = [&](const WriteOp& w) {
+  for (const WriteOp& w : entry.writes) {
     backend_->store().Put(w.key, w.value, batch.id);
     written.push_back(w.key);
     // Drain the decided-version overlay once the store has caught up.
     auto it = decided_versions_.find(w.key);
     if (it != decided_versions_.end() && it->second == batch.id) {
       decided_versions_.erase(it);
-    }
-  };
-  for (const Transaction& t : batch.local) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      apply_write(w);
-    }
-  }
-  for (txn::PrepareGroup& group : entry.groups) {
-    for (txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        for (const WriteOp& w :
-             partition_map_.WritesFor(pending.txn, partition_)) {
-          apply_write(w);
-        }
-      }
     }
   }
 
@@ -544,7 +499,7 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
 
   // Durable engines mark dirty buckets / checkpoint here; the cost goes
   // on the storage device's own meter, beside the protocol CPU.
-  backend_->OnApplied(batch.id, logged.certificate.merkle_root);
+  backend_->OnApplied(batch.id, logged.certificate.merkle_root, entry.writes);
   ChargeStorageIo(/*on_protocol_cpu=*/false);
 
   // Engine follow-ups, in the same order the monolithic replica used:

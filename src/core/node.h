@@ -189,13 +189,13 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   BatchId LatestDecidedVersion(const Key& key) const override;
 
   /// A decided batch waiting for its storage apply: the post-state tree
-  /// consensus certified and the prepare groups its committed segment
-  /// consumed (popped at decide time, before any later decide can touch
-  /// the queue). The batch itself lives in the log.
+  /// consensus certified and the batch's `storage::AppliedWrites`,
+  /// resolved at decide time while its prepare groups were still
+  /// registered. The batch itself lives in the log.
   struct PendingApply {
     BatchId id = kNoBatch;
     merkle::MerkleTree post_tree;
-    std::vector<txn::PrepareGroup> groups;
+    std::vector<WriteOp> writes;
   };
 
   /// Consensus `on_decided` hook. Runs the decide-time metadata

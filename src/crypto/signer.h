@@ -30,9 +30,9 @@ struct Signature {
 /// Every replica and client holds exactly one Signer for its own id; the
 /// byzantine behaviours in tests and fault-injection are built on top of
 /// this interface and therefore cannot sign as anybody else. The default
-/// implementation is HMAC-based (see DESIGN.md §1 for the substitution
-/// rationale); a real asymmetric scheme would implement the same
-/// interface.
+/// implementation is HMAC-based (see ARCHITECTURE.md §Design notes for
+/// the substitution rationale); a real asymmetric scheme would implement
+/// the same interface.
 class Signer {
  public:
   virtual ~Signer() = default;

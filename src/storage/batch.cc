@@ -150,4 +150,21 @@ Result<BatchCertificate> BatchCertificate::DecodeFrom(Decoder* dec) {
   return cert;
 }
 
+std::vector<WriteOp> AppliedWrites(const Batch& batch,
+                                   const PartitionMap& pmap, PartitionId self,
+                                   const TxnResolver& resolve) {
+  std::vector<WriteOp> out;
+  auto add_owned = [&](const Transaction& t) {
+    for (const WriteOp& w : t.write_set) {
+      if (pmap.OwnerOf(w.key) == self) out.push_back(w);
+    }
+  };
+  for (const Transaction& t : batch.local) add_owned(t);
+  for (const CommitRecord& rec : batch.committed) {
+    if (!rec.committed) continue;
+    if (const Transaction* t = resolve(rec.txn_id)) add_owned(*t);
+  }
+  return out;
+}
+
 }  // namespace transedge::storage

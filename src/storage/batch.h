@@ -2,6 +2,7 @@
 #define TRANSEDGE_STORAGE_BATCH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -9,6 +10,7 @@
 #include "txn/cd_vector.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
+#include "storage/partition_map.h"
 #include "txn/types.h"
 
 namespace transedge::storage {
@@ -92,6 +94,22 @@ struct Batch {
     return local.size() + prepared.size() + committed.size();
   }
 };
+
+/// Resolves the transaction object behind a commit record's id; nullptr
+/// when unknown (the record's writes are then skipped). Replicas resolve
+/// through their prepared batches (plus, when validating pipelined
+/// proposals, the prepared segments of in-flight predecessors); recovery
+/// resolves through the log.
+using TxnResolver = std::function<const Transaction*(TxnId)>;
+
+/// The writes `batch` applies at partition `self`: the owned writes of
+/// its local transactions, then those of each committed distributed
+/// transaction in commit-record order — the order the certified Merkle
+/// root is computed in. Aborted records and ids `resolve` does not know
+/// contribute nothing.
+std::vector<WriteOp> AppliedWrites(const Batch& batch,
+                                   const PartitionMap& pmap, PartitionId self,
+                                   const TxnResolver& resolve);
 
 /// Proof that a cluster certified a batch: f+1 replica signatures over
 /// (partition, batch id, batch digest, merkle root). A single node can

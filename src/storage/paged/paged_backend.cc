@@ -6,36 +6,33 @@
 
 namespace transedge::storage::paged {
 
-Status ForEachAppliedWrite(
-    const SmrLog& log, const Batch& batch, const PartitionMap& pmap,
-    PartitionId self,
-    const std::function<void(const Key&, const Value&)>& fn) {
-  for (const Transaction& t : batch.local) {
-    for (const WriteOp& w : pmap.WritesFor(t, self)) fn(w.key, w.value);
+namespace {
+
+/// The prepared transaction a commit record names, looked up in the
+/// prepared segment of the batch the record points at.
+Result<const Transaction*> FindPreparedTxn(const SmrLog& log,
+                                           const CommitRecord& rec) {
+  Result<const LogEntry*> prepared = log.Get(rec.prepared_in_batch);
+  if (!prepared.ok()) {
+    return Status::Corruption(
+        "commit record for txn " + std::to_string(rec.txn_id) +
+        " references truncated batch " +
+        std::to_string(rec.prepared_in_batch));
   }
-  for (const CommitRecord& rec : batch.committed) {
-    if (!rec.committed) continue;
-    Result<const LogEntry*> prepared = log.Get(rec.prepared_in_batch);
-    if (!prepared.ok()) {
-      return Status::Corruption(
-          "commit record for txn " + std::to_string(rec.txn_id) +
-          " references truncated batch " +
-          std::to_string(rec.prepared_in_batch));
-    }
-    const std::vector<Transaction>& txns = prepared.value()->batch.prepared;
-    auto it = std::find_if(txns.begin(), txns.end(), [&](const Transaction& t) {
-      return t.id == rec.txn_id;
-    });
-    if (it == txns.end()) {
-      return Status::Corruption("commit record for txn " +
-                                std::to_string(rec.txn_id) +
-                                " has no prepared txn in batch " +
-                                std::to_string(rec.prepared_in_batch));
-    }
-    for (const WriteOp& w : pmap.WritesFor(*it, self)) fn(w.key, w.value);
+  const std::vector<Transaction>& txns = prepared.value()->batch.prepared;
+  auto it = std::find_if(txns.begin(), txns.end(), [&](const Transaction& t) {
+    return t.id == rec.txn_id;
+  });
+  if (it == txns.end()) {
+    return Status::Corruption("commit record for txn " +
+                              std::to_string(rec.txn_id) +
+                              " has no prepared txn in batch " +
+                              std::to_string(rec.prepared_in_batch));
   }
-  return Status::OK();
+  return &*it;
 }
+
+}  // namespace
 
 uint32_t PagedBackend::BucketOf(const Key& key, uint32_t num_buckets) {
   // FNV-1a, 64-bit.
@@ -95,20 +92,13 @@ void PagedBackend::OnDecided() {
   wal_offset_of_[entry.batch.id] = offset;
 }
 
-void PagedBackend::OnApplied(BatchId last_applied,
-                             const crypto::Digest& root) {
+void PagedBackend::OnApplied(BatchId last_applied, const crypto::Digest& root,
+                             const std::vector<WriteOp>& writes) {
   last_applied_ = last_applied;
   last_applied_root_ = root;
-  Result<const LogEntry*> entry = log_.Get(last_applied);
-  assert(entry.ok());
-  Status st = ForEachAppliedWrite(
-      log_, entry.value()->batch, pmap_, tuning_.partition,
-      [&](const Key& key, const Value& value) {
-        (void)value;
-        dirty_buckets_.insert(BucketOf(key, tuning_.num_buckets));
-      });
-  assert(st.ok());
-  (void)st;
+  for (const WriteOp& w : writes) {
+    dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
+  }
   if (++applies_since_checkpoint_ >= tuning_.checkpoint_interval) {
     Status cp = DoCheckpoint(last_applied, root);
     assert(cp.ok());
@@ -243,7 +233,7 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
   last_applied_root_ = meta.root;
 
   // Replay the WAL: every surviving record rebuilds the log; records
-  // beyond the checkpoint also re-apply their writes, re-derived from
+  // beyond the checkpoint also re-apply their writes, resolved through
   // the log itself (prepared segments named by the commit records).
   TE_ASSIGN_OR_RETURN(std::vector<WalFile::ReplayRecord> records,
                       wal_.Replay(meta.wal_start_offset));
@@ -274,12 +264,17 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
     TE_RETURN_IF_ERROR(log_.Append({std::move(batch), std::move(cert)}));
     const Batch& appended = log_.back().batch;
     if (appended.id > meta.last_applied) {
-      TE_RETURN_IF_ERROR(ForEachAppliedWrite(
-          log_, appended, pmap_, tuning_.partition,
-          [&](const Key& key, const Value& value) {
-            store_.Put(key, value, appended.id);
-            dirty_buckets_.insert(BucketOf(key, tuning_.num_buckets));
-          }));
+      std::map<TxnId, const Transaction*> prepared;
+      for (const CommitRecord& rec : appended.committed) {
+        if (!rec.committed) continue;
+        TE_ASSIGN_OR_RETURN(prepared[rec.txn_id], FindPreparedTxn(log_, rec));
+      }
+      for (const WriteOp& w :
+           AppliedWrites(appended, pmap_, tuning_.partition,
+                         [&](TxnId id) { return prepared.at(id); })) {
+        store_.Put(w.key, w.value, appended.id);
+        dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
+      }
       ++applies_since_checkpoint_;
       last_applied_ = appended.id;
       last_applied_root_ = batch_root;

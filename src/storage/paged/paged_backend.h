@@ -1,7 +1,6 @@
 #ifndef TRANSEDGE_STORAGE_PAGED_PAGED_BACKEND_H_
 #define TRANSEDGE_STORAGE_PAGED_PAGED_BACKEND_H_
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -14,18 +13,6 @@
 #include "storage/storage_backend.h"
 
 namespace transedge::storage::paged {
-
-/// Iterates every write the replica applied for `batch`, in apply order:
-/// local transactions first, then committed distributed transactions
-/// resolved through `log` (the commit record names the batch whose
-/// prepared segment holds the transaction). This is the storage-layer
-/// mirror of the node's apply loop — the backend re-derives write sets
-/// from its own log so checkpoint dirtying and recovery replay need no
-/// upcall. Fails when a commit record references a truncated batch.
-Status ForEachAppliedWrite(
-    const SmrLog& log, const Batch& batch, const PartitionMap& pmap,
-    PartitionId self,
-    const std::function<void(const Key&, const Value&)>& fn);
 
 /// Durable engine: WAL on decide, bucket-paged copy-on-write checkpoint
 /// on apply cadence, ping-pong meta flip, recovery = best meta + chain
@@ -48,7 +35,8 @@ class PagedBackend : public StorageBackend {
                const crypto::Digest& root) override;
 
   void OnDecided() override;
-  void OnApplied(BatchId last_applied, const crypto::Digest& root) override;
+  void OnApplied(BatchId last_applied, const crypto::Digest& root,
+                 const std::vector<WriteOp>& writes) override;
   void TruncateHistory(BatchId horizon) override;
   Result<RecoveredState> Recover(const RecoverOptions& opts) override;
   const StorageIoStats& io_stats() const override { return stats_; }

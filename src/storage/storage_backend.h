@@ -82,12 +82,15 @@ class StorageBackend {
   /// tuning) — this is the decision-critical-path durability cost.
   virtual void OnDecided() {}
 
-  /// Called after batch `last_applied`'s writes reached the store with
-  /// `root` the applied Merkle root. Durable engines mark dirty buckets
-  /// and periodically checkpoint (copy-on-write page flush + meta flip).
-  virtual void OnApplied(BatchId last_applied, const crypto::Digest& root) {
+  /// Called after batch `last_applied`'s `writes` (its `AppliedWrites`,
+  /// already resolved by the node) reached the store with `root` the
+  /// applied Merkle root. Durable engines mark dirty buckets and
+  /// periodically checkpoint (copy-on-write page flush + meta flip).
+  virtual void OnApplied(BatchId last_applied, const crypto::Digest& root,
+                         const std::vector<WriteOp>& writes) {
     (void)last_applied;
     (void)root;
+    (void)writes;
   }
 
   /// The one authoritative history horizon (the node passes its snapshot
@@ -98,8 +101,10 @@ class StorageBackend {
   virtual void TruncateHistory(BatchId horizon) = 0;
 
   /// Rebuilds store + log from durable state (checkpoint + WAL replay).
-  /// Entries beyond the checkpoint re-apply their writes from the log
-  /// entry itself. Only meaningful on a freshly constructed backend.
+  /// Entries beyond the checkpoint re-apply their `AppliedWrites`,
+  /// resolving commit records through the replayed log — the only place
+  /// a backend resolves writes itself. Only meaningful on a freshly
+  /// constructed backend.
   virtual Result<RecoveredState> Recover(const RecoverOptions& opts) = 0;
 
   virtual const StorageIoStats& io_stats() const = 0;

@@ -46,7 +46,7 @@ class CdVector {
   void EncodeTo(Encoder* enc) const;
   static Result<CdVector> DecodeFrom(Decoder* dec);
 
-  /// "[2,-1,5]" — for logs and EXPERIMENTS.md extracts.
+  /// "[2,-1,5]" — for logs and bench output.
   std::string ToString() const;
 
   bool operator==(const CdVector&) const = default;

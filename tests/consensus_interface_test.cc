@@ -1,19 +1,23 @@
 // The Consensus interface seam: every engine behind
 // SystemConfig::consensus_kind must produce the same committed store
 // state for the same workload/seed, valid f+1 certificates, and live
-// view changes. Also pins the message-complexity contrast the linear
-// engine exists for (O(n) vs O(n²) per decided batch).
+// view changes. Every live replica's store must hash to the Merkle root
+// certified for its applied watermark. Also pins the message-complexity
+// contrast the linear engine exists for (O(n) vs O(n²) per decided batch).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/system.h"
+#include "merkle/merkle_tree.h"
 #include "storage/partition_map.h"
+#include "storage/storage_kind.h"
 #include "wire/message.h"
 #include "workload/generator.h"
 
@@ -56,14 +60,17 @@ std::vector<std::pair<Key, Value>> TestData(uint32_t partitions) {
 /// read-modify-write chain, distributed cross-partition writes) under
 /// `kind` and returns the final committed state of every touched key,
 /// after asserting all replicas of the owning cluster agree on it.
-std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed,
-                                       uint32_t pipeline_depth = 1,
-                                       bool async_apply = false,
-                                       uint32_t apply_shards = 1) {
+/// `inspect` sees the system once the workload has drained.
+std::map<Key, std::string> RunWorkload(
+    ConsensusKind kind, uint64_t seed, uint32_t pipeline_depth = 1,
+    bool async_apply = false, uint32_t apply_shards = 1,
+    storage::StorageKind storage_kind = storage::StorageKind::kInMemory,
+    const std::function<void(const System&)>& inspect = {}) {
   SystemConfig config = BaseConfig(kind);
   config.pipeline_depth = pipeline_depth;
   config.async_apply = async_apply;
   config.apply_shards = apply_shards;
+  config.storage_kind = storage_kind;
   System system(config, FastEnv(seed));
   auto data = TestData(config.num_partitions);
   system.Preload(data);
@@ -139,6 +146,8 @@ std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed,
   EXPECT_EQ(pending, 0) << "workload did not drain under "
                         << core::ConsensusKindName(kind);
 
+  if (inspect) inspect(system);
+
   std::map<Key, std::string> state;
   for (const Key& key : touched) {
     PartitionId p = pmap.OwnerOf(key);
@@ -201,6 +210,77 @@ TEST(ConsensusInterfaceTest, CommittedStateIsInvariantAcrossDepthsAndApplyModes)
   EXPECT_EQ(RunWorkload(ConsensusKind::kPbft, seed, /*pipeline_depth=*/4,
                         /*async_apply=*/true),
             reference);
+}
+
+// ---------------------------------------------------------------------------
+// Live stores agree with the certified roots
+// ---------------------------------------------------------------------------
+
+struct StoreRootCase {
+  ConsensusKind consensus;
+  storage::StorageKind storage;
+  bool async_apply;
+};
+
+class StoreMatchesCertifiedRootTest
+    : public ::testing::TestWithParam<StoreRootCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, StoreMatchesCertifiedRootTest,
+    ::testing::ValuesIn([] {
+      std::vector<StoreRootCase> cases;
+      for (ConsensusKind consensus :
+           {ConsensusKind::kPbft, ConsensusKind::kLinearVote}) {
+        for (storage::StorageKind storage :
+             {storage::StorageKind::kInMemory, storage::StorageKind::kPaged}) {
+          for (bool async_apply : {false, true}) {
+            cases.push_back({consensus, storage, async_apply});
+          }
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<StoreRootCase>& info) {
+      return std::string(core::ConsensusKindName(info.param.consensus)) +
+             "_" + storage::StorageKindName(info.param.storage) +
+             (info.param.async_apply ? "_async" : "_sync");
+    });
+
+// The root check otherwise runs only on recovery. Here every replica of
+// a live deployment, after local and 2PC traffic, must rebuild from its
+// store exactly the Merkle root certified for the batch it last applied.
+TEST_P(StoreMatchesCertifiedRootTest, EveryReplicaStoreHashesToItsRoot) {
+  const StoreRootCase& c = GetParam();
+  // Async apply also pipelines linear-vote instances (PBFT pins depth 1)
+  // and carves the apply over four Merkle shards.
+  const uint32_t depth = c.async_apply ? 4 : 1;
+  const uint32_t shards = c.async_apply ? 4 : 1;
+  size_t checked = 0;
+  RunWorkload(
+      c.consensus, /*seed=*/7, depth, c.async_apply, shards, c.storage,
+      [&](const System& system) {
+        const SystemConfig& config = system.config();
+        for (PartitionId p = 0; p < config.num_partitions; ++p) {
+          for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+            const core::TransEdgeNode* node = system.node(p, i);
+            ASSERT_NE(node->last_applied(), kNoBatch);
+            auto entry = node->log().Get(node->last_applied());
+            ASSERT_TRUE(entry.ok()) << entry.status();
+            merkle::MerkleTree rebuilt(config.merkle_depth);
+            node->store().ForEachLatest(
+                [&](const Key& key, const Value& value, BatchId version) {
+                  rebuilt.Put(key, value, version);
+                });
+            EXPECT_TRUE(rebuilt.RootDigest() ==
+                        entry.value()->certificate.merkle_root)
+                << "partition " << p << " replica " << i
+                << " diverges from the root certified for batch "
+                << node->last_applied();
+            ++checked;
+          }
+        }
+      });
+  EXPECT_EQ(checked, 8u);
 }
 
 // ---------------------------------------------------------------------------

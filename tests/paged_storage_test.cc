@@ -2,7 +2,8 @@
 // restart, group-commit loss windows, the crash-point sweep (every op
 // count x crash mode must recover a consistent prefix), CRC-corruption
 // and torn-write rejection, meta ping-pong fallback, history-horizon
-// truncation, and in-memory/paged engine invariance.
+// truncation (including a commit whose prepare batch was truncated), and
+// in-memory/paged engine invariance.
 
 #include <gtest/gtest.h>
 
@@ -84,16 +85,19 @@ class Driver {
     backend_.Preload(store, RootFor(kNoBatch));
   }
 
-  void DecideAndApply(const Batch& batch) {
+  /// Commit records resolve through `resolve`, as the node resolves
+  /// them through its prepared batches.
+  void DecideAndApply(const Batch& batch, const TxnResolver& resolve = {}) {
     ASSERT_TRUE(backend_.log().Append({batch, CertFor(batch)}).ok());
     backend_.OnDecided();
-    for (const Transaction& txn : batch.local) {
-      for (const WriteOp& w : txn.write_set) {
-        backend_.store().Put(w.key, w.value, batch.id);
-        model_[w.key] = w.value;
-      }
+    const std::vector<WriteOp> writes =
+        AppliedWrites(batch, PartitionMap(tuning_.num_partitions),
+                      tuning_.partition, resolve);
+    for (const WriteOp& w : writes) {
+      backend_.store().Put(w.key, w.value, batch.id);
+      model_[w.key] = w.value;
     }
-    backend_.OnApplied(batch.id, RootFor(batch.id));
+    backend_.OnApplied(batch.id, RootFor(batch.id), writes);
     state_at_[batch.id] = model_;
   }
 
@@ -323,6 +327,54 @@ TEST(PagedBackendTest, TruncateHistoryBoundsLogAndRecovery) {
   EXPECT_EQ(Contents(recovered.store()), driver.StateAt(9));
 }
 
+TEST(PagedBackendTest, CommitOfATruncatedPrepareBatchReachesTheCheckpoint) {
+  Driver driver(SmallTuning());
+  driver.Preload(SeedData());
+  RunBatches(&driver, 0, 1);
+
+  // Batch 2 prepares a distributed transaction...
+  Transaction dist;
+  dist.id = MakeTxnId(9, 1);
+  dist.write_set = {WriteOp{"dist-a", ToBytes("committed")},
+                    WriteOp{"dist-b", ToBytes("committed")}};
+  dist.participants = {0};
+  Batch prepare = MakeBatch(2, {WriteOp{"key2", ToBytes("new")}});
+  prepare.prepared.push_back(dist);
+  driver.DecideAndApply(prepare);
+  RunBatches(&driver, 3, 5);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // ...whose batch leaves the log before the commit record arrives.
+  driver.backend().TruncateHistory(4);
+  ASSERT_FALSE(driver.backend().log().Get(2).ok());
+
+  // Batch 6 carries only the commit record, so its buckets are dirtied by
+  // the committed writes alone.
+  Batch commit = MakeBatch(6, {});
+  commit.local.clear();
+  CommitRecord rec;
+  rec.txn_id = dist.id;
+  rec.committed = true;
+  rec.prepared_in_batch = 2;
+  commit.committed.push_back(rec);
+  driver.DecideAndApply(commit, [&](TxnId id) {
+    return id == dist.id ? &dist : nullptr;
+  });
+  ASSERT_TRUE(driver.backend().Checkpoint().ok());
+
+  // The checkpoint covers batch 6, so recovery loads its writes from the
+  // pages rather than replaying them.
+  SimDisk restarted = driver.disk().Clone();
+  PagedBackend recovered(driver.tuning(), &restarted);
+  Result<RecoveredState> recovered_state = recovered.Recover({});
+  ASSERT_TRUE(recovered_state.ok()) << recovered_state.status();
+  EXPECT_EQ(recovered_state->checkpoint_applied, 6);
+  std::map<Key, Value> contents = Contents(recovered.store());
+  EXPECT_EQ(contents["dist-a"], ToBytes("committed"));
+  EXPECT_EQ(contents["dist-b"], ToBytes("committed"));
+  EXPECT_EQ(contents, driver.StateAt(6));
+}
+
 TEST(PagedBackendTest, PagedAndInMemoryEnginesApplyIdentically) {
   Driver driver(SmallTuning());
   driver.Preload(SeedData());
@@ -342,12 +394,11 @@ TEST(PagedBackendTest, PagedAndInMemoryEnginesApplyIdentically) {
     driver.DecideAndApply(batch);
     ASSERT_TRUE(in_memory.log().Append({batch, CertFor(batch)}).ok());
     in_memory.OnDecided();
-    for (const Transaction& txn : batch.local) {
-      for (const WriteOp& w : txn.write_set) {
-        in_memory.store().Put(w.key, w.value, batch.id);
-      }
+    const std::vector<WriteOp>& writes = batch.local.front().write_set;
+    for (const WriteOp& w : writes) {
+      in_memory.store().Put(w.key, w.value, batch.id);
     }
-    in_memory.OnApplied(batch.id, RootFor(batch.id));
+    in_memory.OnApplied(batch.id, RootFor(batch.id), writes);
   }
 
   EXPECT_EQ(Contents(in_memory.store()), Contents(driver.backend().store()));

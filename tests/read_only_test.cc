@@ -246,7 +246,8 @@ int RunCrossGroupLoad(Fixture& fx, Client* reader, int* max_rounds) {
 TEST(ReadOnlyTest, PaperModeTerminatesAfterTwoRounds) {
   // The paper's protocol: at most two rounds, always (Theorem 4.6). The
   // residual-dependency diagnostic may fire under cross-group commits —
-  // the corner DESIGN.md §4 documents — but must stay rare.
+  // the corner ARCHITECTURE.md §Design notes documents — but must stay
+  // rare.
   Fixture fx(/*seed=*/35, /*cross_latency=*/sim::Millis(6));
   Client* reader = fx.system->AddClient();
   int max_rounds = 0;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "storage/batch.h"
 #include "storage/partition_map.h"
 #include "storage/smr_log.h"
@@ -118,6 +121,75 @@ TEST(PartitionMapTest, RestrictionCoversAllOps) {
   }
   EXPECT_EQ(reads, txn.read_set.size());
   EXPECT_EQ(writes, txn.write_set.size());
+}
+
+// --- AppliedWrites -----------------------------------------------------------
+
+/// The first `n` keys of the form "k<i>" that partition `p` owns.
+std::vector<Key> KeysOwnedBy(const PartitionMap& pmap, PartitionId p,
+                             size_t n) {
+  std::vector<Key> keys;
+  for (int i = 0; keys.size() < n; ++i) {
+    Key key = "k" + std::to_string(i);
+    if (pmap.OwnerOf(key) == p) keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(AppliedWritesTest, LocalThenCommittedInRecordOrderOwnedOnly) {
+  PartitionMap pmap(2);
+  const std::vector<Key> mine = KeysOwnedBy(pmap, 0, 6);
+  const std::vector<Key> theirs = KeysOwnedBy(pmap, 1, 4);
+  auto txn = [](TxnId id, std::vector<WriteOp> writes) {
+    Transaction t;
+    t.id = id;
+    t.write_set = std::move(writes);
+    return t;
+  };
+  auto write = [](const Key& key, const std::string& value) {
+    return WriteOp{key, ToBytes(value)};
+  };
+  auto record = [](TxnId id, bool committed) {
+    CommitRecord rec;
+    rec.txn_id = id;
+    rec.committed = committed;
+    return rec;
+  };
+
+  // Distributed transactions, known to the resolver in id order.
+  const std::vector<Transaction> prepared = {
+      txn(1, {write(mine[2], "d1"), write(theirs[1], "d1")}),
+      txn(2, {write(mine[3], "d2")}),  // Aborted.
+      txn(4, {write(theirs[2], "d4"), write(mine[4], "d4")}),
+  };
+  auto resolve = [&](TxnId id) -> const Transaction* {
+    for (const Transaction& t : prepared) {
+      if (t.id == id) return &t;
+    }
+    return nullptr;
+  };
+
+  Batch batch;
+  batch.id = 9;
+  batch.local.push_back(txn(10, {write(mine[0], "l"), write(theirs[0], "l"),
+                                 write(mine[1], "l")}));
+  // Prepared-segment transactions write nothing until committed.
+  batch.prepared.push_back(txn(11, {write(mine[5], "p")}));
+  batch.committed = {record(4, true), record(2, false), record(1, true),
+                     record(3, true)};  // 3 is unknown to the resolver.
+
+  const std::vector<WriteOp> expected = {
+      write(mine[0], "l"), write(mine[1], "l"),  // Local, owned only.
+      write(mine[4], "d4"),                      // Commit-record order...
+      write(mine[2], "d1"),                      // ...not resolver order.
+  };
+  EXPECT_EQ(AppliedWrites(batch, pmap, 0, resolve), expected);
+
+  // The other partition sees exactly its own share, in the same order.
+  const std::vector<WriteOp> other = {write(theirs[0], "l"),
+                                      write(theirs[2], "d4"),
+                                      write(theirs[1], "d1")};
+  EXPECT_EQ(AppliedWrites(batch, pmap, 1, resolve), other);
 }
 
 // --- SmrLog ------------------------------------------------------------------

@@ -21,9 +21,9 @@ namespace transedge::check {
 ///   Augustus baseline) never include each other; they meet only
 ///   through `NodeContext` and the node's hooks.
 /// - `consensus-seam`: files under `core/consensus/` reach only the
-///   seam headers (`node_context.h`, `config.h`) and the shared pieces
-///   (`batch_apply.h`, `footprint_index.h`) from `core/` — never the
-///   node, system, client, or another engine.
+///   seam headers (`node_context.h`, `config.h`) and the shared
+///   `footprint_index.h` from `core/` — never the node, system, client,
+///   or another engine.
 /// - `external-include`: nothing in `src/` includes `bench/`, `tests/`,
 ///   `examples/`, or any `../` path.
 /// - `include-cycle`: the file-level include graph must be acyclic.
