@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "txn/cd_vector.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -55,6 +58,25 @@ void BM_MerklePut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MerklePut)->Arg(8)->Arg(13)->Arg(20);
+
+// One batch-sized update (2000 writes over the same 4096-key space as
+// BM_MerklePut): compare its time against 2000 x BM_MerklePut/13.
+void BM_MerklePutBatch(benchmark::State& state) {
+  merkle::MerkleTree tree(static_cast<int>(state.range(0)));
+  constexpr int kBatch = 2000;
+  std::vector<WriteOp> writes;
+  writes.reserve(kBatch);
+  for (int i = 0; i < kBatch; ++i) {
+    writes.push_back({"key" + std::to_string(i * 2), Bytes(32, 0x11)});
+  }
+  int64_t version = 0;
+  for (auto _ : state) {
+    tree.PutBatch(writes, version++);
+    benchmark::DoNotOptimize(tree.RootDigest());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_MerklePutBatch)->Arg(13);
 
 void BM_MerkleProve(benchmark::State& state) {
   merkle::MerkleTree tree(13);

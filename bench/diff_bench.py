@@ -19,8 +19,10 @@ A metric that moved in the bad direction by more than ``--threshold``
 metric and exits 1 if any regressed. Metrics present in only one file
 are reported but never fail the run (benches come and go). The "micro"
 subtree is host-time (machine-dependent) and is skipped unless
---include-micro is given; everything else is simulated time and
-deterministic for a given seed, so cross-machine comparison is exact.
+--include-micro is given. The "host" object (each smoke bench's wall
+seconds) is printed for information and never gates. Everything else is
+simulated time and deterministic for a given seed, so cross-machine
+comparison is exact.
 """
 
 import argparse
@@ -50,7 +52,8 @@ def direction_of(key):
 def flatten(node, path, out, include_micro):
     if isinstance(node, dict):
         for key, value in node.items():
-            if key == "micro" and not include_micro and not path:
+            if not path and (key == "host" or
+                             (key == "micro" and not include_micro)):
                 continue
             flatten(value, path + (key,), out, include_micro)
     elif isinstance(node, list):
@@ -67,6 +70,10 @@ def flatten(node, path, out, include_micro):
         key = path[-1] if path else ""
         if direction_of(key) is not None:
             out["/".join(str(p) for p in path)] = float(node)
+
+
+def fmt(value):
+    return f"{value:.1f}" if value is not None else "-"
 
 
 def main():
@@ -112,11 +119,18 @@ def main():
     print(f"{'metric':<{width}}  {'baseline':>12}  {'current':>12}  "
           f"{'delta':>8}  status")
     for path, old, new, delta, status in rows:
-        old_s = f"{old:.1f}" if old is not None else "-"
-        new_s = f"{new:.1f}" if new is not None else "-"
         delta_s = f"{delta:+.1%}" if delta is not None else "-"
-        print(f"{path:<{width}}  {old_s:>12}  {new_s:>12}  {delta_s:>8}  "
-              f"{status}")
+        print(f"{path:<{width}}  {fmt(old):>12}  {fmt(new):>12}  "
+              f"{delta_s:>8}  {status}")
+
+    base_host = baseline.get("host", {})
+    cur_host = current.get("host", {})
+    if base_host or cur_host:
+        print("\nhost wall seconds (informational, never gated):")
+        for name in sorted(set(base_host) | set(cur_host)):
+            print(f"{'host/' + name:<{width}}  "
+                  f"{fmt(base_host.get(name)):>12}  "
+                  f"{fmt(cur_host.get(name)):>12}")
 
     if regressions:
         print(f"\n{len(regressions)} metric(s) regressed beyond "

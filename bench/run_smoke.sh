@@ -2,8 +2,8 @@
 # Smoke benchmark: runs the micro-benchmarks and a shrunken Figure-4
 # bench with tiny parameters and emits one JSON document, seeding the
 # BENCH_*.json perf trajectory. The benches run one after another on
-# one core: about 160 s wall time for a Release build on a 4-core Xeon
-# host.
+# one core: about 235 s wall time for a Release build on a 4-core Xeon
+# host. The top-level "host" object records each bench's wall seconds.
 #
 # Usage: bench/run_smoke.sh [output.json]
 #   BUILD_DIR  build tree holding the bench binaries (default: build)
@@ -13,26 +13,31 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_smoke.json}
 
-for bench in bench_fig04_ro_latency bench_shard_scaling bench_consensus_compare bench_apply_pipeline bench_durability bench_watch_fanout; do
-  if [[ ! -x "$BUILD_DIR/$bench" ]]; then
-    echo "error: $BUILD_DIR/$bench not built" >&2
+# Each smoke bench NAME is the binary bench_NAME and the JSON key NAME.
+BENCHES=(fig04_ro_latency shard_scaling consensus_compare apply_pipeline
+         durability watch_fanout)
+
+for name in "${BENCHES[@]}"; do
+  if [[ ! -x "$BUILD_DIR/bench_$name" ]]; then
+    echo "error: $BUILD_DIR/bench_$name not built" >&2
     echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
     exit 1
   fi
 done
 
-fig04_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_fig04_ro_latency" | grep '^{')
-shard_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_shard_scaling" | grep '^{')
-consensus_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_consensus_compare" | grep '^{')
-apply_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_apply_pipeline" | grep '^{')
-durability_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_durability" | grep '^{')
-watch_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_watch_fanout" | grep '^{')
+declare -A json host
+for name in "${BENCHES[@]}"; do
+  start=$EPOCHREALTIME
+  json[$name]=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_$name" | grep '^{')
+  host[$name]=$(awk -v a="$start" -v b="$EPOCHREALTIME" \
+    'BEGIN { printf "%.1f", b - a }')
+done
 
 # bench_micro is optional (needs google-benchmark); emit native JSON when
 # present, a placeholder otherwise.
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   micro_json=$("$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_Sha256/256|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerkleProve' \
+    --benchmark_filter='BM_Sha256/256|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerklePutBatch/13|BM_MerkleProve' \
     --benchmark_min_time=0.05 --benchmark_format=json 2>/dev/null)
 else
   micro_json='{"skipped":"bench_micro not built (google-benchmark missing)"}'
@@ -43,24 +48,19 @@ fi
   echo '"generated_by": "bench/run_smoke.sh",'
   echo '"micro":'
   echo "$micro_json"
+  for name in "${BENCHES[@]}"; do
+    echo ','
+    echo "\"$name\":"
+    echo "${json[$name]}"
+  done
   echo ','
-  echo '"fig04_ro_latency":'
-  echo "$fig04_json"
-  echo ','
-  echo '"shard_scaling":'
-  echo "$shard_json"
-  echo ','
-  echo '"consensus_compare":'
-  echo "$consensus_json"
-  echo ','
-  echo '"apply_pipeline":'
-  echo "$apply_json"
-  echo ','
-  echo '"durability":'
-  echo "$durability_json"
-  echo ','
-  echo '"watch_fanout":'
-  echo "$watch_json"
+  echo '"host": {'
+  sep=''
+  for name in "${BENCHES[@]}"; do
+    echo "$sep\"${name}_s\": ${host[$name]}"
+    sep=','
+  done
+  echo '}'
   echo '}'
 } > "$OUT"
 

@@ -285,11 +285,10 @@ void SealAndProposeBatch(
   ProposalChain chain = ctx->proposal_chain();
   merkle::MerkleTree post_tree = chain.head_tree->Clone();
   const txn::PreparedBatches& prepared = ctx->prepared_batches();
-  for (const WriteOp& w : storage::AppliedWrites(
-           batch, ctx->partition_map(), ctx->partition(),
-           [&](TxnId id) { return prepared.FindTxn(id); })) {
-    post_tree.Put(w.key, w.value, batch.id);
-  }
+  post_tree.PutBatch(
+      storage::AppliedWrites(batch, ctx->partition_map(), ctx->partition(),
+                             [&](TxnId id) { return prepared.FindTxn(id); }),
+      batch.id);
   batch.ro.merkle_root = post_tree.RootDigest();
 
   propose(std::move(batch), std::move(post_tree));

@@ -200,13 +200,11 @@ struct SystemConfig {
   /// memory in long runs.
   size_t snapshot_history = 512;
 
-  /// Simulation-performance shortcut for the bench harness (host CPU
-  /// only — simulated time is charged identically): honest followers
-  /// adopt the leader's persistent post-batch tree snapshot instead of
-  /// re-hashing the identical updates themselves. Validation still
-  /// recomputes conflict checks, CD vectors, and LCE; only the Merkle
-  /// *recomputation* is deduplicated. Tests run with this off so the
-  /// byzantine root-mismatch path stays exercised.
+  /// Ignored: nothing reads it. It once let followers adopt the leader's
+  /// post-batch tree instead of recomputing the root, which skipped the
+  /// check that makes a batch's certified root trustworthy. Every replica
+  /// now recomputes the root (`MerkleTree::PutBatch`). The field stays
+  /// only because the perfbench workloads still assign it.
   bool simulate_shared_merkle = false;
 
   CostModel cost;

@@ -70,9 +70,6 @@ void LinearVoteConsensus::MaybeLockOn(uint64_t view, const Instance& inst) {
   lock.digest = inst.digest;
   lock.cert = inst.certificate;
   lock.view_sigs = inst.qc_view_sigs;
-  lock.snapshot = inst.validated && ctx_->config().simulate_shared_merkle
-                      ? inst.post_tree.GetSnapshot()
-                      : inst.adopted_snapshot;
 }
 
 bool LinearVoteConsensus::LockBlocksVote(const Instance& inst) const {
@@ -219,9 +216,6 @@ void LinearVoteConsensus::Propose(storage::Batch batch,
   msg.view = view_;
   msg.batch = std::move(batch);
   msg.leader_signature = ctx_->Sign(ProposalSignPayload(inst.digest));
-  if (config.simulate_shared_merkle) {
-    msg.post_snapshot = inst.post_tree.GetSnapshot();
-  }
 
   sim::Time done = ctx_->busy_until();
   if (ctx_->byzantine() == ByzantineBehavior::kEquivocate) {
@@ -262,7 +256,6 @@ void LinearVoteConsensus::HandlePropose(sim::ActorId from,
   inst.has_batch = true;
   inst.batch = msg.batch;
   inst.digest = digest;
-  inst.adopted_snapshot = msg.post_snapshot;
 
   // A re-proposal's justification (a prepare QC for this very batch from
   // an earlier view) unlocks replicas whose lock is older; an invalid
@@ -429,8 +422,8 @@ bool LinearVoteConsensus::AdvanceSlot(BatchId id, Instance& inst) {
 
   if (!inst.validated && !inst.validation_failed) {
     ProposalChain chain = ChainUpTo(id);
-    Status s = ValidateProposedBatch(ctx_, inst.batch, inst.adopted_snapshot,
-                                     &inst.post_tree, &chain);
+    Status s =
+        ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, &chain);
     if (!s.ok()) {
       // A correct replica stays silent on an invalid proposal; the
       // progress timer will trigger a view change.
@@ -717,7 +710,6 @@ void LinearVoteConsensus::HandleViewChange(
     lock.digest = digest;
     lock.cert = report.cert;
     lock.view_sigs = report.view_sigs;
-    lock.snapshot = merkle::MerkleTree::Snapshot();
   }
 
   auto& votes = view_change_votes_[target];
@@ -802,10 +794,9 @@ void LinearVoteConsensus::ReproposeLocked() {
     inst.has_batch = true;
     inst.batch = lock.batch;
     inst.digest = lock.digest;
-    inst.adopted_snapshot = lock.snapshot;
     ProposalChain chain = ChainUpTo(id);
-    Status s = ValidateProposedBatch(ctx_, inst.batch, inst.adopted_snapshot,
-                                     &inst.post_tree, &chain);
+    Status s =
+        ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, &chain);
     if (!s.ok()) {
       // Deterministic re-validation of a quorum-certified batch against
       // the same log prefix cannot fail; treat it like any other invalid
@@ -833,9 +824,6 @@ void LinearVoteConsensus::ReproposeLocked() {
     msg.justify_view = lock.view;
     msg.justify_cert = lock.cert;
     msg.justify_view_sigs = lock.view_sigs;
-    if (config.simulate_shared_merkle) {
-      msg.post_snapshot = inst.post_tree.GetSnapshot();
-    }
     BroadcastCounted(ShareMsg(std::move(msg)),
                      ctx_->Charge(config.cost.signature_op));
     proposed_any = true;
@@ -898,11 +886,10 @@ bool LinearVoteConsensus::ApplyCatchUpEntry(
   // the last *decided* batch's post-state.
   merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
   const txn::PreparedBatches& prepared = ctx_->prepared_batches();
-  for (const WriteOp& w : storage::AppliedWrites(
-           batch, ctx_->partition_map(), ctx_->partition(),
-           [&](TxnId id) { return prepared.FindTxn(id); })) {
-    post_tree.Put(w.key, w.value, batch.id);
-  }
+  post_tree.PutBatch(
+      storage::AppliedWrites(batch, ctx_->partition_map(), ctx_->partition(),
+                             [&](TxnId id) { return prepared.FindTxn(id); }),
+      batch.id);
   if (post_tree.RootDigest() != batch.ro.merkle_root) return false;
 
   auto [it, inserted] = instances_.try_emplace(batch.id, config.merkle_depth);

@@ -1,7 +1,6 @@
 #include "merkle/merkle_tree.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace transedge::merkle {
 
@@ -32,6 +31,20 @@ std::vector<crypto::Digest> ComputeEmptyDigests(int depth) {
     empty[level] = crypto::HashPair(empty[level + 1], empty[level + 1]);
   }
   return empty;
+}
+
+/// The proof's depth is its sibling count, which comes from an untrusted
+/// server: only depths LeafIndexFor can take (1..32) are meaningful.
+Status CheckLeafIndex(const MerkleProof& proof, const std::string& key) {
+  size_t depth = proof.siblings.size();
+  if (depth == 0 || depth > 32) {
+    return Status::VerificationFailed("proof depth out of range");
+  }
+  if (proof.leaf_index != MerkleTree::LeafIndexFor(key,
+                                                   static_cast<int>(depth))) {
+    return Status::VerificationFailed("proof leaf index mismatch for key");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -75,41 +88,45 @@ crypto::Digest MerkleTree::DigestOf(const NodeRef& node, int level,
   return node == nullptr ? empty[level] : node->digest;
 }
 
-MerkleTree::NodeRef MerkleTree::PutRec(
-    const NodeRef& node, int level, int depth, uint32_t leaf_index,
-    const BucketEntry& entry, const std::vector<crypto::Digest>& empty) {
+MerkleTree::NodeRef MerkleTree::PutRange(
+    const NodeRef& node, int level, int depth, LeafWrite* first,
+    LeafWrite* last, const std::vector<crypto::Digest>& empty) {
   auto next = std::make_shared<Node>();
   if (level == depth) {
     next->is_leaf = true;
     if (node != nullptr) next->bucket = node->bucket;
-    auto it = std::find_if(
-        next->bucket.begin(), next->bucket.end(),
-        [&entry](const BucketEntry& e) { return e.key == entry.key; });
-    if (it != next->bucket.end()) {
-      *it = entry;
-    } else {
+    std::vector<BucketEntry>& bucket = next->bucket;
+    for (LeafWrite* w = first; w != last; ++w) {
       // Keep buckets sorted so digests are canonical.
       auto pos = std::lower_bound(
-          next->bucket.begin(), next->bucket.end(), entry,
+          bucket.begin(), bucket.end(), w->entry,
           [](const BucketEntry& a, const BucketEntry& b) {
             return a.key < b.key;
           });
-      next->bucket.insert(pos, entry);
+      if (pos != bucket.end() && pos->key == w->entry.key) {
+        *pos = std::move(w->entry);
+      } else {
+        bucket.insert(pos, std::move(w->entry));
+      }
     }
-    next->digest = BucketDigest(next->bucket);
+    next->digest = BucketDigest(bucket);
     return next;
   }
 
-  // Interior: descend left or right based on the bit at this level.
-  bool go_right = (leaf_index >> (depth - 1 - level)) & 1;
-  NodeRef old_left = node ? node->left : nullptr;
-  NodeRef old_right = node ? node->right : nullptr;
-  if (go_right) {
-    next->left = old_left;
-    next->right = PutRec(old_right, level + 1, depth, leaf_index, entry, empty);
-  } else {
-    next->left = PutRec(old_left, level + 1, depth, leaf_index, entry, empty);
-    next->right = old_right;
+  // Interior: the writes whose bit at this level is 0 go left, the rest
+  // right; an untouched side keeps its old subtree.
+  const int shift = depth - 1 - level;
+  LeafWrite* mid =
+      std::partition_point(first, last, [shift](const LeafWrite& w) {
+        return ((w.leaf_index >> shift) & 1) == 0;
+      });
+  next->left = node ? node->left : nullptr;
+  next->right = node ? node->right : nullptr;
+  if (first != mid) {
+    next->left = PutRange(next->left, level + 1, depth, first, mid, empty);
+  }
+  if (mid != last) {
+    next->right = PutRange(next->right, level + 1, depth, mid, last, empty);
   }
   next->digest = crypto::HashPair(DigestOf(next->left, level + 1, empty),
                                   DigestOf(next->right, level + 1, empty));
@@ -123,19 +140,30 @@ MerkleTree MerkleTree::Clone() const {
   return copy;
 }
 
-MerkleTree MerkleTree::FromSnapshot(const Snapshot& snapshot) {
-  assert(snapshot.valid());
-  MerkleTree tree(snapshot.depth_);
-  tree.root_ = snapshot.root_;
-  tree.empty_digests_ = snapshot.empty_digests_;
-  return tree;
-}
-
 void MerkleTree::Put(const std::string& key, const Bytes& value,
                      int64_t version) {
-  BucketEntry entry{key, crypto::Sha256::Hash(value), version};
-  root_ = PutRec(root_, 0, depth_, LeafIndexFor(key, depth_), entry,
-                 *empty_digests_);
+  LeafWrite write{LeafIndexFor(key, depth_),
+                  BucketEntry{key, crypto::Sha256::Hash(value), version}};
+  root_ = PutRange(root_, 0, depth_, &write, &write + 1, *empty_digests_);
+}
+
+void MerkleTree::PutBatch(const std::vector<WriteOp>& writes,
+                          int64_t version) {
+  if (writes.empty()) return;
+  std::vector<LeafWrite> routed;
+  routed.reserve(writes.size());
+  for (const WriteOp& w : writes) {
+    routed.push_back(
+        {LeafIndexFor(w.key, depth_),
+         BucketEntry{w.key, crypto::Sha256::Hash(w.value), version}});
+  }
+  // Stable: writes to one key keep their order, so the last one wins.
+  std::stable_sort(routed.begin(), routed.end(),
+                   [](const LeafWrite& a, const LeafWrite& b) {
+                     return a.leaf_index < b.leaf_index;
+                   });
+  root_ = PutRange(root_, 0, depth_, routed.data(),
+                   routed.data() + routed.size(), *empty_digests_);
 }
 
 crypto::Digest MerkleTree::RootDigest() const {
@@ -190,10 +218,7 @@ Result<MerkleProof> MerkleTree::ProveAt(const Snapshot& snapshot,
 Status MerkleTree::VerifyAbsence(const MerkleProof& proof,
                                  const std::string& key,
                                  const crypto::Digest& root) {
-  if (proof.leaf_index != LeafIndexFor(key, static_cast<int>(
-                                                proof.siblings.size()))) {
-    return Status::VerificationFailed("proof leaf index mismatch for key");
-  }
+  TE_RETURN_IF_ERROR(CheckLeafIndex(proof, key));
   auto it = std::find_if(
       proof.bucket.begin(), proof.bucket.end(),
       [&key](const BucketEntry& e) { return e.key == key; });
@@ -222,10 +247,7 @@ crypto::Digest MerkleProof::ComputeRoot() const {
 Status MerkleTree::VerifyProof(const MerkleProof& proof,
                                const std::string& key, const Bytes& value,
                                int64_t version, const crypto::Digest& root) {
-  if (proof.leaf_index != LeafIndexFor(key, static_cast<int>(
-                                                proof.siblings.size()))) {
-    return Status::VerificationFailed("proof leaf index mismatch for key");
-  }
+  TE_RETURN_IF_ERROR(CheckLeafIndex(proof, key));
   auto it = std::find_if(
       proof.bucket.begin(), proof.bucket.end(),
       [&key](const BucketEntry& e) { return e.key == key; });

@@ -9,6 +9,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/sha256.h"
+#include "txn/types.h"
 
 namespace transedge::merkle {
 
@@ -53,10 +54,11 @@ struct MerkleProof {
 /// applying a batch's write-sets is certified by the cluster and lets a
 /// *single* node later prove the authenticity of any read response.
 ///
-/// Persistence: `Put` copies the O(depth) path it touches, so snapshots
-/// (`SnapshotRoot`) taken after each batch remain valid and proofs can be
-/// generated against any retained historical root — exactly what the
-/// second round of the distributed read-only protocol needs (§4.3.4).
+/// Persistence: `Put`/`PutBatch` copy the O(depth) paths they touch, so
+/// snapshots (`GetSnapshot`) taken after each batch remain valid and
+/// proofs can be generated against any retained historical root —
+/// exactly what the second round of the distributed read-only protocol
+/// needs (§4.3.4).
 class MerkleTree {
  public:
   /// Handle to an immutable tree version.
@@ -74,14 +76,16 @@ class MerkleTree {
   /// Inserts or overwrites `key` with the digest of `value` at `version`.
   void Put(const std::string& key, const Bytes& value, int64_t version);
 
-  /// Cheap structural-sharing copy (O(1)): the clone starts at the same
-  /// version and diverges copy-on-write. Used by leaders to compute the
-  /// post-batch root without mutating their applied state.
-  MerkleTree Clone() const;
+  /// Applies `writes` in order, all at `version`: the resulting tree is
+  /// identical to one `Put` per write (a later write to the same key
+  /// wins), but each touched node is copied and rehashed once, however
+  /// many writes land beneath it.
+  void PutBatch(const std::vector<WriteOp>& writes, int64_t version);
 
-  /// Reconstructs a tree positioned at `snapshot` (O(1), shares
-  /// structure). Requires a valid snapshot.
-  static MerkleTree FromSnapshot(const Snapshot& snapshot);
+  /// Cheap structural-sharing copy (O(1)): the clone starts at the same
+  /// version and diverges copy-on-write. Used by every replica to
+  /// compute a batch's post-state root without mutating its own state.
+  MerkleTree Clone() const;
 
   /// Current root digest.
   crypto::Digest RootDigest() const;
@@ -126,9 +130,17 @@ class MerkleTree {
   struct Node;
   using NodeRef = std::shared_ptr<const Node>;
 
-  static NodeRef PutRec(const NodeRef& node, int level, int depth,
-                        uint32_t leaf_index, const BucketEntry& entry,
-                        const std::vector<crypto::Digest>& empty);
+  /// A write routed to its leaf bucket.
+  struct LeafWrite {
+    uint32_t leaf_index;
+    BucketEntry entry;
+  };
+
+  /// Applies [first, last) — sorted by leaf index, stable within a leaf —
+  /// to the subtree `node` at `level`, returning the new subtree.
+  static NodeRef PutRange(const NodeRef& node, int level, int depth,
+                          LeafWrite* first, LeafWrite* last,
+                          const std::vector<crypto::Digest>& empty);
   static crypto::Digest DigestOf(const NodeRef& node, int level,
                                  const std::vector<crypto::Digest>& empty);
 

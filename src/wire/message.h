@@ -163,12 +163,6 @@ struct PrePrepareMsg : TypedMessage<MessageType::kPrePrepare> {
   crypto::Signature leader_signature;  // over the batch digest
   /// Leader's certificate share (counts as the leader's prepare vote).
   crypto::Signature leader_cert_share;
-  /// Simulation shortcut (SystemConfig::simulate_shared_merkle): the
-  /// leader's post-batch tree, shared structurally so honest followers
-  /// skip re-hashing identical updates. Invalid when the shortcut is
-  /// disabled.
-  // check:allow(wire-parity): simulation-only shortcut, never serialized.
-  merkle::MerkleTree::Snapshot post_snapshot;
 };
 
 /// Replica vote after re-validating the proposed batch. Carries the
@@ -228,10 +222,6 @@ struct LinearProposeMsg : TypedMessage<MessageType::kLinearPropose> {
   /// (over the view-bind payload); a leader cannot claim a newer view
   /// for the QC than the one it actually formed in.
   crypto::SignatureSet justify_view_sigs;
-  /// Simulation shortcut (SystemConfig::simulate_shared_merkle); see
-  /// PrePrepareMsg::post_snapshot. Not serialized.
-  // check:allow(wire-parity): simulation-only shortcut, never serialized.
-  merkle::MerkleTree::Snapshot post_snapshot;
 };
 
 /// Voting phases of the linear-vote engine.

@@ -127,7 +127,6 @@ void EncodeBody(const PrePrepareMsg& msg, Encoder* enc) {
   msg.batch.EncodeTo(enc);
   msg.leader_signature.EncodeTo(enc);
   msg.leader_cert_share.EncodeTo(enc);
-  // post_snapshot intentionally not serialized (simulation shortcut).
 }
 
 void EncodeBody(const PrepareMsg& msg, Encoder* enc) {
@@ -159,7 +158,6 @@ void EncodeBody(const LinearProposeMsg& msg, Encoder* enc) {
     msg.justify_cert.EncodeTo(enc);
     msg.justify_view_sigs.EncodeTo(enc);
   }
-  // post_snapshot intentionally not serialized (simulation shortcut).
 }
 
 void EncodeBody(const LinearVoteMsg& msg, Encoder* enc) {

@@ -16,9 +16,7 @@ namespace transedge::wire {
 ///     u32 message-type | body
 ///
 /// `EncodeMessage` dispatches on the runtime type; `DecodeMessage`
-/// reconstructs the typed object. PrePrepareMsg's `post_snapshot` is a
-/// simulation-only shortcut and deliberately does not serialize (a real
-/// deployment recomputes the tree, which is the default code path).
+/// reconstructs the typed object.
 Bytes EncodeMessage(const sim::Message& msg);
 
 /// Decodes a message produced by EncodeMessage. Corruption on any

@@ -4,15 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <set>
+#include <string>
 
+#include "core/consensus/batch_validation.h"
 #include "core/system.h"
+#include "wire/message.h"
 #include "workload/generator.h"
 
 namespace transedge {
 namespace {
 
 using core::Client;
+using core::ConsensusKind;
 using core::RoResult;
 using core::RwResult;
 using core::System;
@@ -26,10 +32,11 @@ struct Fixture {
 
   explicit Fixture(uint32_t partitions = 2, uint64_t seed = 77,
                    sim::Time freshness_window = sim::Seconds(30),
-                   uint32_t f = 1)
+                   uint32_t f = 1, ConsensusKind kind = ConsensusKind::kPbft)
       : pmap(partitions) {
     config.num_partitions = partitions;
     config.f = f;
+    config.consensus_kind = kind;
     config.batch_interval = sim::Millis(5);
     config.view_change_timeout = sim::Millis(80);
     config.merkle_depth = 8;
@@ -241,15 +248,11 @@ TEST(ByzantineTest, ForgedCertificateRejectedByClientLogic) {
 }
 
 TEST(ByzantineTest, InvalidLeaderProposalIsNotCertified) {
-  // A leader proposing a batch whose Merkle root does not match the
-  // writes is silently rejected by honest replicas (validation failure),
-  // so nothing commits until the view change replaces it. We emulate by
-  // injecting a corrupted pre-prepare from the leader's id via the
-  // network filter hook: simpler — tamper-read-value only affects RO
-  // replies, so here we assert the validation path through equivocation
-  // (different digests) which is the stronger variant, plus check that
-  // no replica ever applied a batch whose recomputed digest mismatches
-  // its certificate.
+  // An equivocating leader sends conflicting proposals (different
+  // digests) to the two halves of the cluster, so neither variant can
+  // gather a quorum. Every batch any replica did decide must carry a
+  // certificate over its own digest. The wrong-root proposal is
+  // covered by WrongRootProposalTest below.
   Fixture fx(/*partitions=*/1);
   fx.system->node(0, 0)->SetByzantineBehavior(
       core::ByzantineBehavior::kEquivocate);
@@ -273,6 +276,111 @@ TEST(ByzantineTest, InvalidLeaderProposalIsNotCertified) {
                       .ok());
     }
   }
+}
+
+// A leader-signed proposal whose Merkle root disagrees with its writes.
+// The link filter drops the leader's genuine proposals and sends each
+// follower a copy with a corrupted `ro.merkle_root`, re-signed with the
+// leader's key (derived from the same seed System uses). Root
+// recomputation during validation is the only check that catches it:
+// no honest replica may vote for, certify or apply such a batch, and
+// the cluster must replace the leader and commit the write anyway.
+class WrongRootProposalTest : public ::testing::TestWithParam<ConsensusKind> {
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, WrongRootProposalTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(WrongRootProposalTest, WrongRootProposalIsNeverCertified) {
+  const uint64_t seed = 77;
+  Fixture fx(/*partitions=*/1, seed, sim::Seconds(30), /*f=*/1, GetParam());
+  const crypto::NodeId leader = fx.config.LeaderOf(0, 0);
+  crypto::HmacSignatureScheme scheme(fx.config.total_replicas(),
+                                     seed ^ 0x5ed);
+  std::unique_ptr<crypto::Signer> leader_signer = scheme.MakeSigner(leader);
+
+  sim::Network& net = fx.system->env().network();
+  std::set<sim::MessagePtr> injected;  // Held, so no address is reused.
+  std::set<crypto::Digest> wrong_digests;
+  int tampered_votes = 0;
+
+  // Counts a vote for a corrupted proposal; the vote itself travels.
+  auto count_vote = [&](const crypto::Digest& digest) {
+    tampered_votes += static_cast<int>(wrong_digests.count(digest));
+    return true;
+  };
+  // Sends `to` a copy of the leader's proposal with a corrupted root,
+  // re-signed as the leader, in place of the original.
+  auto send_corrupted = [&](auto proposal, sim::ActorId to) {
+    proposal->batch.ro.merkle_root.bytes[0] ^= 0xff;
+    crypto::Digest digest = proposal->batch.ComputeDigest();
+    wrong_digests.insert(digest);
+    proposal->leader_signature =
+        leader_signer->Sign(core::ProposalSignPayload(digest));
+    if constexpr (requires { proposal->leader_cert_share; }) {
+      proposal->leader_cert_share = leader_signer->Sign(
+          core::CertificatePayloadFor(0, proposal->batch, digest)
+              .SignedPayload());
+    }
+    injected.insert(proposal);
+    net.Send(leader, to, std::move(proposal));
+    return false;
+  };
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    if (injected.count(msg) > 0) return true;
+    switch (static_cast<wire::MessageType>(msg->type())) {
+      case wire::MessageType::kPrepare:
+        return count_vote(
+            static_cast<const wire::PrepareMsg&>(*msg).batch_digest);
+      case wire::MessageType::kLinearVote:
+        return count_vote(
+            static_cast<const wire::LinearVoteMsg&>(*msg).batch_digest);
+      case wire::MessageType::kPrePrepare:
+        if (from != leader) return true;
+        return send_corrupted(
+            std::make_shared<wire::PrePrepareMsg>(
+                static_cast<const wire::PrePrepareMsg&>(*msg)),
+            to);
+      case wire::MessageType::kLinearPropose:
+        if (from != leader) return true;
+        return send_corrupted(
+            std::make_shared<wire::LinearProposeMsg>(
+                static_cast<const wire::LinearProposeMsg&>(*msg)),
+            to);
+      default:
+        return true;
+    }
+  });
+
+  std::optional<RwResult> result;
+  const Key key = fx.KeyIn(0);
+  fx.system->env().Schedule(sim::Millis(30), [&] {
+    Client* client = fx.system->AddClient();
+    client->ExecuteReadWrite({}, {WriteOp{key, ToBytes("v")}},
+                             [&](RwResult r) { result = std::move(r); });
+  });
+  fx.system->env().RunUntil(sim::Seconds(20));
+  net.SetLinkFilter(nullptr);
+
+  ASSERT_FALSE(wrong_digests.empty());  // The fault was injected.
+  EXPECT_EQ(tampered_votes, 0);
+  for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+    const auto* node = fx.system->node(0, i);
+    EXPECT_GT(node->view(), 0u) << "replica " << i;
+    const auto& log = node->log();
+    for (BatchId b = 0; log.size() > 0 && b <= log.LastBatchId(); ++b) {
+      const storage::LogEntry* entry = log.Get(b).value();
+      EXPECT_EQ(wrong_digests.count(entry->batch.ComputeDigest()), 0u)
+          << "replica " << i << " batch " << b;
+    }
+  }
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->committed) << result->reason;
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "merkle/merkle_tree.h"
 
 namespace transedge::merkle {
@@ -179,6 +183,124 @@ TEST(MerkleTreeTest, ProofEncodeDecodeRoundTrip) {
                                       tree.RootDigest())
                   .ok());
 }
+
+// The sibling count of an untrusted proof sets the depth the verifier
+// derives the leaf index at; depths outside 1..32 must be rejected, not
+// shifted by.
+TEST(MerkleTreeTest, ProofWithOutOfRangeDepthIsRejected) {
+  MerkleTree tree(8);
+  tree.Put("k", V("v"), 0);
+  MerkleProof genuine = tree.Prove("k").value();
+  MerkleProof absent = tree.Prove("missing").value();
+  for (size_t siblings : {size_t{0}, size_t{33}}) {
+    MerkleProof proof = genuine;
+    MerkleProof absence = absent;
+    proof.siblings.resize(siblings);
+    absence.siblings.resize(siblings);
+    EXPECT_TRUE(MerkleTree::VerifyProof(proof, "k", V("v"), 0,
+                                        tree.RootDigest())
+                    .IsVerificationFailed())
+        << siblings;
+    EXPECT_TRUE(
+        MerkleTree::VerifyAbsence(absence, "missing", tree.RootDigest())
+            .IsVerificationFailed())
+        << siblings;
+  }
+}
+
+TEST(MerkleTreeTest, PutBatchLastWriteToAKeyWins) {
+  MerkleTree batched(4);
+  batched.PutBatch({{"k", V("v1")}, {"other", V("o")}, {"k", V("v2")}}, 7);
+  MerkleTree sequential(4);
+  sequential.Put("other", V("o"), 7);
+  sequential.Put("k", V("v2"), 7);
+  EXPECT_EQ(batched.RootDigest(), sequential.RootDigest());
+  EXPECT_TRUE(MerkleTree::VerifyProof(batched.Prove("k").value(), "k",
+                                      V("v2"), 7, batched.RootDigest())
+                  .ok());
+}
+
+TEST(MerkleTreeTest, EmptyPutBatchLeavesRootUnchanged) {
+  MerkleTree tree(8);
+  crypto::Digest empty_root = tree.RootDigest();
+  tree.PutBatch({}, 0);
+  EXPECT_EQ(tree.RootDigest(), empty_root);
+  tree.Put("k", V("v"), 0);
+  crypto::Digest root = tree.RootDigest();
+  tree.PutBatch({}, 1);
+  EXPECT_EQ(tree.RootDigest(), root);
+}
+
+TEST(MerkleTreeTest, SnapshotBeforePutBatchKeepsOldValues) {
+  MerkleTree tree(4);
+  tree.PutBatch({{"a", V("a0")}, {"b", V("b0")}}, 0);
+  MerkleTree::Snapshot snap0 = tree.GetSnapshot();
+  crypto::Digest root0 = tree.RootDigest();
+
+  tree.PutBatch({{"a", V("a1")}, {"c", V("c1")}}, 1);
+  ASSERT_NE(tree.RootDigest(), root0);
+  EXPECT_EQ(snap0.RootDigest(), root0);
+  EXPECT_TRUE(MerkleTree::VerifyProof(MerkleTree::ProveAt(snap0, "a").value(),
+                                      "a", V("a0"), 0, root0)
+                  .ok());
+  EXPECT_TRUE(MerkleTree::VerifyProof(MerkleTree::ProveAt(snap0, "b").value(),
+                                      "b", V("b0"), 0, root0)
+                  .ok());
+  EXPECT_TRUE(MerkleTree::VerifyAbsence(MerkleTree::ProveAt(snap0, "c").value(),
+                                        "c", root0)
+                  .ok());
+}
+
+// PutBatch against one Put per write, over random batches (with repeated
+// keys) applied on top of each other. Depth 4 packs the 64-key space into
+// 16 buckets, so batches share leaves as well as interior nodes.
+class MerklePutBatchTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(MerklePutBatchTest, MatchesSequentialPuts) {
+  auto [seed, depth] = GetParam();
+  Rng rng(static_cast<uint64_t>(seed));
+  MerkleTree batched(depth);
+  MerkleTree sequential(depth);
+  std::map<std::string, std::pair<Bytes, int64_t>> model;
+  const int kKeys = 64;
+  for (int64_t version = 0; version < 20; ++version) {
+    std::vector<WriteOp> writes;
+    size_t n = rng.NextBounded(40);
+    for (size_t i = 0; i < n; ++i) {
+      writes.push_back({"key" + std::to_string(rng.NextBounded(kKeys)),
+                        V("v" + std::to_string(rng.Next()))});
+    }
+    batched.PutBatch(writes, version);
+    for (const WriteOp& w : writes) {
+      sequential.Put(w.key, w.value, version);
+      model[w.key] = {w.value, version};
+    }
+    ASSERT_EQ(batched.RootDigest(), sequential.RootDigest())
+        << "version " << version;
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    std::string key = "key" + std::to_string(i);
+    MerkleProof proof = batched.Prove(key).value();
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(
+          MerkleTree::VerifyAbsence(proof, key, batched.RootDigest()).ok())
+          << key;
+    } else {
+      EXPECT_TRUE(MerkleTree::VerifyProof(proof, key, it->second.first,
+                                          it->second.second,
+                                          batched.RootDigest())
+                      .ok())
+          << key;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndDepths, MerklePutBatchTest,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(1, 4, 8, 13)));
 
 // Property sweep: proofs verify across tree depths and key counts.
 class MerkleDepthTest : public ::testing::TestWithParam<int> {};

@@ -213,8 +213,6 @@ TEST(WireTest, LinearVoteMessagesRoundTrip) {
   ASSERT_EQ(pr->batch.local.size(), 1u);
   EXPECT_EQ(pr->batch.local[0], propose.batch.local[0]);
   EXPECT_FALSE(pr->has_justify);
-  // The simulation-only snapshot never travels.
-  EXPECT_FALSE(pr->post_snapshot.valid());
 
   // A view-change re-proposal carries the justification QC.
   propose.has_justify = true;
