@@ -341,5 +341,56 @@ TEST(BatchCertificateTest, EncodeDecodeRoundTrip) {
   ASSERT_EQ(decoded.signatures.size(), 1u);
 }
 
+// --- Format pins -------------------------------------------------------------
+//
+// Fixed inputs, fixed bytes. A batch digest and a certificate payload are
+// what replicas sign; if either moves, certificates from one build stop
+// verifying in another. The constants were recorded from the
+// hand-written codec the generic field lists replaced.
+
+template <typename T>
+Bytes Encoded(const T& value) {
+  Encoder enc;
+  value.EncodeTo(&enc);
+  return enc.Take();
+}
+
+BatchCertificate SampleCertificate() {
+  Batch batch = SampleBatch();
+  BatchCertificate cert;
+  cert.partition = batch.partition;
+  cert.batch_id = batch.id;
+  cert.batch_digest = batch.ComputeDigest();
+  cert.merkle_root = batch.ro.merkle_root;
+  cert.ro_digest = batch.ro.ComputeDigest();
+  crypto::HmacSignatureScheme scheme(7, 3);
+  for (crypto::NodeId id : {0u, 1u}) {
+    cert.signatures.Add(scheme.MakeSigner(id)->Sign(cert.SignedPayload()));
+  }
+  return cert;
+}
+
+// The batch digest is SHA-256 over the batch's encoding, so it pins
+// every byte of Batch and of the types it nests.
+TEST(FormatPinTest, BatchDigestIsPinned) {
+  Batch batch = SampleBatch();
+  EXPECT_EQ(batch.ComputeDigest().ToHex(),
+            "9b24e113b1ca569142345586fe856bf5bdb9eb5a0a2153143a9b8e870b543acc");
+  EXPECT_EQ(batch.ro.ComputeDigest().ToHex(),
+            "efaead3517d62371621b1d4378a6b080e5efdf42bf865bfbb25d156bdbe9e2ee");
+}
+
+TEST(FormatPinTest, CertificatePayloadAndEncodingArePinned) {
+  BatchCertificate cert = SampleCertificate();
+  EXPECT_EQ(HexEncode(cert.SignedPayload()),
+            "140000007472616e73656467652d62617463682d636572740200000007000000"
+            "000000009b24e113b1ca569142345586fe856bf5bdb9eb5a0a2153143a9b8e87"
+            "0b543acc4813494d137e1631bba301d5acab6e7bb7aa74ce1185d456565ef51d"
+            "737677b2efaead3517d62371621b1d4378a6b080e5efdf42bf865bfbb25d156b"
+            "dbe9e2ee");
+  EXPECT_EQ(crypto::Sha256::Hash(Encoded(cert)).ToHex(),
+            "6faeae25dfc85bf577b91ff396e11fa3f93619a3ea85a402000b51e578dd8f47");
+}
+
 }  // namespace
 }  // namespace transedge::storage

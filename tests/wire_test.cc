@@ -367,6 +367,19 @@ TEST(WireTest, TrailingGarbageRejected) {
   EXPECT_FALSE(DecodeMessage(encoded).ok());
 }
 
+TEST(WireTest, UnknownTypesAreCorruption) {
+  // Type 24 (kNewView) names no message on the wire; neither does a
+  // number outside the enum.
+  for (uint32_t type : {24u, 0u, 99u}) {
+    Encoder enc;
+    enc.PutU32(type);
+    enc.PutU64(2);
+    Result<sim::MessagePtr> decoded = DecodeMessage(enc.buffer());
+    ASSERT_FALSE(decoded.ok()) << "type " << type;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+}
+
 // Fuzz: random byte strings must never crash the decoder.
 class WireFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
