@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 
 namespace transedge::crypto {
 
@@ -14,6 +15,8 @@ namespace transedge::crypto {
 /// message authentication throughout the system.
 struct Digest {
   std::array<uint8_t, 32> bytes{};
+
+  TE_CODEC_FIELDS(bytes)
 
   bool operator==(const Digest& other) const { return bytes == other.bytes; }
   bool operator!=(const Digest& other) const { return !(*this == other); }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/status.h"
 #include "crypto/hmac.h"
 #include "crypto/key_store.h"
@@ -17,8 +18,7 @@ struct Signature {
   NodeId signer = 0;
   Digest mac;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<Signature> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(signer, mac)
 
   bool operator==(const Signature& other) const {
     return signer == other.signer && mac == other.mac;
@@ -82,8 +82,7 @@ struct SignatureSet {
   void Add(Signature sig) { signatures.push_back(std::move(sig)); }
   size_t size() const { return signatures.size(); }
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<SignatureSet> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(signatures)
 
   /// OK iff the set holds at least `required` valid signatures over
   /// `message` from distinct signers whose ids satisfy `is_member`.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "crypto/sha256.h"
 #include "txn/types.h"
@@ -22,6 +23,8 @@ struct BucketEntry {
   std::string key;
   crypto::Digest value_digest;
   int64_t version = -1;
+
+  TE_CODEC_FIELDS(key, value_digest, version)
 
   bool operator==(const BucketEntry& other) const {
     return key == other.key && value_digest == other.value_digest &&
@@ -39,8 +42,7 @@ struct MerkleProof {
   std::vector<BucketEntry> bucket;
   std::vector<crypto::Digest> siblings;  // bottom-up: depth-1 ... 0
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<MerkleProof> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(leaf_index, bucket, siblings)
 
   /// Recomputes the root this proof commits to.
   crypto::Digest ComputeRoot() const;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "txn/cd_vector.h"
 #include "crypto/sha256.h"
@@ -26,8 +27,7 @@ struct PreparedInfo {
   bool vote = false;
   txn::CdVector cd_vector;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<PreparedInfo> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(partition, prepared_in_batch, vote, cd_vector)
   bool operator==(const PreparedInfo&) const = default;
 };
 
@@ -44,8 +44,8 @@ struct CommitRecord {
   /// record out to participants; everyone else just applies it.
   PartitionId coordinator = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<CommitRecord> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(txn_id, committed, prepared_in_batch, participant_info,
+                  coordinator)
   bool operator==(const CommitRecord&) const = default;
 };
 
@@ -61,8 +61,7 @@ struct ReadOnlySegment {
   /// batches whose timestamp falls outside the configured window.
   int64_t timestamp_us = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<ReadOnlySegment> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(cd_vector, lce, merkle_root, timestamp_us)
   bool operator==(const ReadOnlySegment&) const = default;
 
   /// Digest over the serialized segment. Covered by batch certificates
@@ -82,8 +81,7 @@ struct Batch {
   std::vector<CommitRecord> committed;
   ReadOnlySegment ro;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<Batch> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(partition, id, local, prepared, committed, ro)
   bool operator==(const Batch&) const = default;
 
   /// Canonical digest over the serialized batch; this is what the
@@ -132,8 +130,8 @@ struct BatchCertificate {
   Status Verify(const crypto::Verifier& verifier, size_t required,
                 const std::vector<crypto::NodeId>& member_ids) const;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<BatchCertificate> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(partition, batch_id, batch_digest, merkle_root, ro_digest,
+                  signatures)
 };
 
 }  // namespace transedge::storage

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "crypto/sha256.h"
 #include "txn/types.h"
@@ -22,9 +23,9 @@ namespace transedge::storage::paged {
 /// `WalRecordHeader + payload` records; `MetaSlot::wal_start_offset`
 /// logically truncates the prefix superseded by the checkpoint.
 ///
-/// Every struct here is covered by tools/check's page-format parity
-/// rule: each field must appear in both EncodeTo and DecodeFrom so the
-/// format cannot silently drift.
+/// Each record lists its fields once (TE_CODEC_FIELDS), reserved zero
+/// bytes included; `codec::Encode`/`codec::Decode` derive both
+/// directions from that list, and paged_storage_test pins the bytes.
 
 inline constexpr uint32_t kPageMagic = 0x47504554;  // "TEPG"
 inline constexpr uint32_t kMetaMagic = 0x544D4554;  // "TEMT"
@@ -56,8 +57,9 @@ struct PageHeader {
   uint32_t next_page = kNoPage;  // Chain link; kNoPage terminates.
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<PageHeader> DecodeFrom(Decoder* dec);
+  // The reserved u16 keeps the header at kPageHeaderSize.
+  TE_CODEC_FIELDS(magic, version, codec::Reserved<uint16_t>{}, page_id, lsn,
+                  payload_len, next_page, crc)
   bool operator==(const PageHeader&) const = default;
 };
 
@@ -79,8 +81,9 @@ struct MetaSlot {
   std::vector<uint32_t> bucket_heads;  // Chain head per bucket; kNoPage=empty.
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<MetaSlot> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(magic, version, generation, page_size, num_buckets,
+                  num_pages, last_applied, root, log_start, wal_start_offset,
+                  bucket_heads, crc)
   bool operator==(const MetaSlot&) const = default;
 };
 
@@ -98,8 +101,9 @@ struct WalRecordHeader {
   uint32_t payload_len = 0;
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<WalRecordHeader> DecodeFrom(Decoder* dec);
+  // The reserved u8 + u16 keep the header at kWalRecordHeaderSize.
+  TE_CODEC_FIELDS(magic, type, codec::Reserved<uint8_t>{},
+                  codec::Reserved<uint16_t>{}, lsn, payload_len, crc)
   bool operator==(const WalRecordHeader&) const = default;
 };
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "txn/types.h"
 
@@ -43,8 +44,7 @@ class CdVector {
   /// `other` (i.e. `other` already covers these dependencies).
   bool CoveredBy(const CdVector& other) const;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<CdVector> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(deps_)
 
   /// "[2,-1,5]" — for logs and bench output.
   std::string ToString() const;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 
 namespace transedge {
@@ -41,8 +42,7 @@ struct ReadOp {
   Key key;
   int64_t version = -1;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<ReadOp> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(key, version)
   bool operator==(const ReadOp&) const = default;
 };
 
@@ -52,8 +52,7 @@ struct WriteOp {
   Key key;
   Value value;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<WriteOp> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(key, value)
   bool operator==(const WriteOp&) const = default;
 };
 
@@ -77,8 +76,7 @@ struct Transaction {
   /// The read and write operations that belong to partition `p` under
   /// `owner_of(key) == p` semantics are extracted by the node; the full
   /// sets travel with the transaction as in the paper's commit request.
-  void EncodeTo(Encoder* enc) const;
-  static Result<Transaction> DecodeFrom(Decoder* dec);
+  TE_CODEC_FIELDS(id, read_set, write_set, participants, coordinator)
 
   bool operator==(const Transaction&) const = default;
 };

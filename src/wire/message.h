@@ -5,11 +5,12 @@
 #include <string>
 #include <vector>
 
-#include "txn/cd_vector.h"
+#include "common/codec.h"
 #include "crypto/signer.h"
 #include "merkle/merkle_tree.h"
 #include "sim/actor.h"
 #include "storage/batch.h"
+#include "txn/cd_vector.h"
 #include "txn/types.h"
 
 namespace transedge::wire {
@@ -30,7 +31,7 @@ enum class MessageType : uint32_t {
   kPrepare = 21,
   kCommit = 22,
   kViewChange = 23,
-  kNewView = 24,
+  kNewView = 24,  // Retired: no message carries it; decoding rejects it.
 
   // Intra-cluster consensus (HotStuff-style linear-vote engine).
   kLinearPropose = 25,
@@ -81,6 +82,8 @@ struct ClientReadRequest : TypedMessage<MessageType::kClientRead> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   Key key;
+
+  TE_CODEC_FIELDS(request_id, reply_to, key)
 };
 
 struct ClientReadReply : TypedMessage<MessageType::kClientReadReply> {
@@ -91,12 +94,16 @@ struct ClientReadReply : TypedMessage<MessageType::kClientReadReply> {
   /// Version (batch id) the value was read at — becomes the read set's
   /// observed version for OCC validation.
   BatchId version = kNoBatch;
+
+  TE_CODEC_FIELDS(request_id, key, found, value, version)
 };
 
 /// Commit request carrying the full read and write sets (§3.3.1).
 struct CommitRequest : TypedMessage<MessageType::kCommitRequest> {
   sim::ActorId reply_to = 0;
   Transaction txn;
+
+  TE_CODEC_FIELDS(reply_to, txn)
 };
 
 struct CommitReply : TypedMessage<MessageType::kCommitReply> {
@@ -107,6 +114,8 @@ struct CommitReply : TypedMessage<MessageType::kCommitReply> {
   /// leader (same transaction id; admission dedup protects the old one),
   /// e.g. a view change abandoning an undecided admission.
   bool retryable = false;
+
+  TE_CODEC_FIELDS(txn_id, committed, reason, retryable)
 };
 
 /// One authenticated key result inside a read-only response.
@@ -116,6 +125,8 @@ struct AuthenticatedRead {
   Value value;
   BatchId version = kNoBatch;
   merkle::MerkleProof proof;
+
+  TE_CODEC_FIELDS(key, found, value, version, proof)
 };
 
 /// Round-1 read-only request: all keys of one accessed partition
@@ -124,6 +135,8 @@ struct RoRequest : TypedMessage<MessageType::kRoRequest> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
+
+  TE_CODEC_FIELDS(request_id, reply_to, keys)
 };
 
 /// Response from a single node: values + Merkle proofs, the batch
@@ -140,6 +153,9 @@ struct RoReply : TypedMessage<MessageType::kRoReply> {
   int64_t timestamp_us = 0;
   /// True when this reply answers a second-round (historical) request.
   bool second_round = false;
+
+  TE_CODEC_FIELDS(request_id, partition, batch_id, entries, certificate,
+                  cd_vector, lce, timestamp_us, second_round)
 };
 
 /// Round-2 request: "serve me your state at the earliest batch whose LCE
@@ -150,6 +166,8 @@ struct RoBatchRequest : TypedMessage<MessageType::kRoBatchRequest> {
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
   BatchId min_lce = kNoBatch;
+
+  TE_CODEC_FIELDS(request_id, reply_to, keys, min_lce)
 };
 
 // ---------------------------------------------------------------------------
@@ -163,6 +181,8 @@ struct PrePrepareMsg : TypedMessage<MessageType::kPrePrepare> {
   crypto::Signature leader_signature;  // over the batch digest
   /// Leader's certificate share (counts as the leader's prepare vote).
   crypto::Signature leader_cert_share;
+
+  TE_CODEC_FIELDS(view, batch, leader_signature, leader_cert_share)
 };
 
 /// Replica vote after re-validating the proposed batch. Carries the
@@ -173,12 +193,16 @@ struct PrepareMsg : TypedMessage<MessageType::kPrepare> {
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
   crypto::Signature cert_share;  // over BatchCertificate::SignedPayload()
+
+  TE_CODEC_FIELDS(view, batch_id, batch_digest, cert_share)
 };
 
 struct CommitMsg : TypedMessage<MessageType::kCommit> {
   uint64_t view = 0;
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
+
+  TE_CODEC_FIELDS(view, batch_id, batch_digest)
 };
 
 /// Sent when a replica's progress timer fires without a decision.
@@ -186,15 +210,8 @@ struct ViewChangeMsg : TypedMessage<MessageType::kViewChange> {
   uint64_t new_view = 0;
   BatchId last_committed = kNoBatch;
   crypto::Signature signature;
-};
 
-/// New leader's announcement; re-proposals follow as ordinary
-/// pre-prepares in the new view.
-// check:allow(wire-parity): intra-simulation only — never serialized
-// (EncodeMessage emits the bare discriminator, DecodeMessage rejects it).
-struct NewViewMsg : TypedMessage<MessageType::kNewView> {
-  uint64_t new_view = 0;
-  std::vector<ViewChangeMsg> proof;  // 2f+1 view-change votes
+  TE_CODEC_FIELDS(new_view, last_committed, signature)
 };
 
 // ---------------------------------------------------------------------------
@@ -222,6 +239,11 @@ struct LinearProposeMsg : TypedMessage<MessageType::kLinearPropose> {
   /// (over the view-bind payload); a leader cannot claim a newer view
   /// for the QC than the one it actually formed in.
   crypto::SignatureSet justify_view_sigs;
+
+  // The justification travels only when has_justify is set.
+  TE_CODEC_FIELDS(view, batch, leader_signature, has_justify,
+                  codec::If(has_justify, justify_view, justify_cert,
+                            justify_view_sigs))
 };
 
 /// Voting phases of the linear-vote engine.
@@ -246,6 +268,8 @@ struct LinearVoteMsg : TypedMessage<MessageType::kLinearVote> {
   /// a view change, and a byzantine leader cannot inflate a re-proposal
   /// justification.
   crypto::Signature view_share;
+
+  TE_CODEC_FIELDS(view, batch_id, phase, batch_digest, share, view_share)
 };
 
 /// Leader -> replicas quorum certificate broadcast. `cert` is the batch
@@ -262,6 +286,8 @@ struct LinearQcMsg : TypedMessage<MessageType::kLinearQc> {
   /// Prepare phase only: >= 2f+1 signatures over the view-bind payload,
   /// certifying the view this QC formed in (see LinearVoteMsg::view_share).
   crypto::SignatureSet view_sigs;
+
+  TE_CODEC_FIELDS(view, phase, cert, commit_sigs, view_sigs)
 };
 
 /// One prepare-QC lock carried inside a view-change message: the locked
@@ -273,6 +299,8 @@ struct LinearLockReport {
   storage::Batch batch;
   storage::BatchCertificate cert;
   crypto::SignatureSet view_sigs;
+
+  TE_CODEC_FIELDS(view, batch, cert, view_sigs)
 };
 
 /// Replica -> prospective leader of `new_view` when the progress timer
@@ -290,6 +318,8 @@ struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
   /// change. The reported view must be backed by `view_sigs`; an
   /// inflated claim is dropped.
   std::vector<LinearLockReport> locks;
+
+  TE_CODEC_FIELDS(new_view, last_committed, signature, locks)
 };
 
 /// New leader's QC-carrying announcement: 2f+1 view-change signatures
@@ -298,6 +328,8 @@ struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
 struct LinearNewViewMsg : TypedMessage<MessageType::kLinearNewView> {
   uint64_t new_view = 0;
   crypto::SignatureSet proof;
+
+  TE_CODEC_FIELDS(new_view, proof)
 };
 
 /// Decided-batch state transfer to a lagging replica. Sent by the
@@ -317,6 +349,8 @@ struct LinearCatchUpMsg : TypedMessage<MessageType::kLinearCatchUp> {
   /// caught up entry-by-entry and must recover from durable storage
   /// instead of parking on an unfillable gap.
   BatchId first_retained = 0;
+
+  TE_CODEC_FIELDS(batch, cert, view, view_proof, first_retained)
 };
 
 // ---------------------------------------------------------------------------
@@ -334,6 +368,8 @@ struct CoordPrepareMsg : TypedMessage<MessageType::kCoordPrepare> {
   /// view change: participants re-report their vote from replicated
   /// state instead of treating the message as a duplicate.
   bool resend = false;
+
+  TE_CODEC_FIELDS(txn, coordinator, proof, resend)
 };
 
 /// Participant's prepared message (§3.3.3, step 5): its vote, the batch
@@ -343,6 +379,8 @@ struct PreparedMsg : TypedMessage<MessageType::kPrepared> {
   TxnId txn_id = 0;
   storage::PreparedInfo info;
   storage::BatchCertificate proof;
+
+  TE_CODEC_FIELDS(txn_id, info, proof)
 };
 
 /// Coordinator's decision (§3.3.4, step 7), including all collected
@@ -352,6 +390,8 @@ struct CommitRecordMsg : TypedMessage<MessageType::kCommitRecord> {
   bool commit = false;
   std::vector<storage::PreparedInfo> participant_info;
   storage::BatchCertificate proof;
+
+  TE_CODEC_FIELDS(txn_id, commit, participant_info, proof)
 };
 
 // ---------------------------------------------------------------------------
@@ -364,6 +404,8 @@ struct AugustusRoRequest : TypedMessage<MessageType::kAugustusRoRequest> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
+
+  TE_CODEC_FIELDS(request_id, reply_to, keys)
 };
 
 /// Leader -> replicas: vote on the read snapshot.
@@ -371,12 +413,16 @@ struct AugustusVoteRequest : TypedMessage<MessageType::kAugustusVoteRequest> {
   uint64_t request_id = 0;
   std::vector<Key> keys;
   BatchId snapshot_batch = kNoBatch;
+
+  TE_CODEC_FIELDS(request_id, keys, snapshot_batch)
 };
 
 struct AugustusVoteReply : TypedMessage<MessageType::kAugustusVoteReply> {
   uint64_t request_id = 0;
   bool vote = true;
   crypto::Signature signature;
+
+  TE_CODEC_FIELDS(request_id, vote, signature)
 };
 
 /// Leader -> client: values + 2f+1 votes.
@@ -385,11 +431,15 @@ struct AugustusRoReply : TypedMessage<MessageType::kAugustusRoReply> {
   PartitionId partition = 0;
   std::vector<AuthenticatedRead> entries;
   uint32_t votes = 0;
+
+  TE_CODEC_FIELDS(request_id, partition, entries, votes)
 };
 
 /// Client -> leader: release the shared locks.
 struct AugustusRelease : TypedMessage<MessageType::kAugustusRelease> {
   uint64_t request_id = 0;
+
+  TE_CODEC_FIELDS(request_id)
 };
 
 // ---------------------------------------------------------------------------
@@ -408,6 +458,8 @@ struct WatchSubscribeRequest : TypedMessage<MessageType::kWatchSubscribe> {
   Key range_lo;
   Key range_hi;
   BatchId resume_from = kNoBatch;
+
+  TE_CODEC_FIELDS(watch_id, reply_to, range_lo, range_hi, resume_from)
 };
 
 /// Leader -> watcher: subscription accepted at `batch_id` (the applied
@@ -424,6 +476,9 @@ struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
   bool resumed = false;
   std::vector<AuthenticatedRead> entries;
   storage::BatchCertificate certificate;
+
+  TE_CODEC_FIELDS(watch_id, partition, epoch, batch_id, resumed, entries,
+                  certificate)
 };
 
 /// Leader -> watcher: the writes of applied batch `batch_id` restricted
@@ -439,12 +494,17 @@ struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
   BatchId prev_batch_id = kNoBatch;
   std::vector<AuthenticatedRead> entries;
   storage::BatchCertificate certificate;
+
+  TE_CODEC_FIELDS(watch_id, partition, epoch, batch_id, prev_batch_id, entries,
+                  certificate)
 };
 
 /// Client -> leader: drop the watch. No reply.
 struct WatchUnsubscribe : TypedMessage<MessageType::kWatchUnsubscribe> {
   uint64_t watch_id = 0;
   sim::ActorId reply_to = 0;
+
+  TE_CODEC_FIELDS(watch_id, reply_to)
 };
 
 /// Replica -> watcher: the subscription is dead — a view change rotated
@@ -456,6 +516,8 @@ struct WatchResubscribeRequired : TypedMessage<MessageType::kWatchResubscribe> {
   PartitionId partition = 0;
   uint64_t epoch = 0;          // Epoch now current at the sender.
   BatchId horizon = kNoBatch;  // Oldest batch a resume could replay from.
+
+  TE_CODEC_FIELDS(watch_id, partition, epoch, horizon)
 };
 
 }  // namespace transedge::wire

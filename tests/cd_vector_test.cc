@@ -82,9 +82,9 @@ TEST(CdVectorTest, EncodeDecodeRoundTrip) {
   v.Set(2, 123456789);
   v.Set(4, kNoBatch);
   Encoder enc;
-  v.EncodeTo(&enc);
+  codec::Encode(&enc, v);
   Decoder dec(enc.buffer());
-  CdVector decoded = CdVector::DecodeFrom(&dec).value();
+  CdVector decoded = codec::Decode<CdVector>(&dec).value();
   EXPECT_EQ(decoded, v);
 }
 

@@ -251,9 +251,9 @@ TEST(SignatureSetTest, EncodeDecodeRoundTrip) {
   set.Add(scheme.MakeSigner(0)->Sign(msg));
   set.Add(scheme.MakeSigner(1)->Sign(msg));
   Encoder enc;
-  set.EncodeTo(&enc);
+  codec::Encode(&enc, set);
   Decoder dec(enc.buffer());
-  Result<SignatureSet> decoded = SignatureSet::DecodeFrom(&dec);
+  Result<SignatureSet> decoded = codec::Decode<SignatureSet>(&dec);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), 2u);
   EXPECT_EQ(decoded->signatures[0], set.signatures[0]);

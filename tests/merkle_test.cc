@@ -173,9 +173,9 @@ TEST(MerkleTreeTest, ProofEncodeDecodeRoundTrip) {
   MerkleProof proof = tree.Prove("k1").value();
 
   Encoder enc;
-  proof.EncodeTo(&enc);
+  codec::Encode(&enc, proof);
   Decoder dec(enc.buffer());
-  MerkleProof decoded = MerkleProof::DecodeFrom(&dec).value();
+  MerkleProof decoded = codec::Decode<MerkleProof>(&dec).value();
   EXPECT_EQ(decoded.leaf_index, proof.leaf_index);
   EXPECT_EQ(decoded.bucket, proof.bucket);
   EXPECT_EQ(decoded.siblings.size(), proof.siblings.size());

@@ -35,7 +35,7 @@ crypto::Digest RootFor(BatchId id) {
 template <typename T>
 std::string EncodedHex(const T& value) {
   Encoder enc;
-  value.EncodeTo(&enc);
+  codec::Encode(&enc, value);
   return HexEncode(enc.buffer());
 }
 

@@ -272,9 +272,9 @@ Batch SampleBatch() {
 TEST(BatchTest, EncodeDecodeRoundTrip) {
   Batch batch = SampleBatch();
   Encoder enc;
-  batch.EncodeTo(&enc);
+  codec::Encode(&enc, batch);
   Decoder dec(enc.buffer());
-  Batch decoded = Batch::DecodeFrom(&dec).value();
+  Batch decoded = codec::Decode<Batch>(&dec).value();
   EXPECT_EQ(decoded, batch);
   EXPECT_TRUE(dec.exhausted());
 }
@@ -290,12 +290,12 @@ TEST(BatchTest, DigestIsContentSensitive) {
 TEST(BatchTest, TruncatedDecodeFails) {
   Batch batch = SampleBatch();
   Encoder enc;
-  batch.EncodeTo(&enc);
+  codec::Encode(&enc, batch);
   Bytes truncated(enc.buffer().begin(),
                   enc.buffer().begin() +
                       static_cast<long>(enc.buffer().size() / 2));
   Decoder dec(truncated);
-  EXPECT_FALSE(Batch::DecodeFrom(&dec).ok());
+  EXPECT_FALSE(codec::Decode<Batch>(&dec).ok());
 }
 
 TEST(BatchCertificateTest, SignAndVerifyQuorum) {
@@ -330,9 +330,9 @@ TEST(BatchCertificateTest, EncodeDecodeRoundTrip) {
   cert.signatures.Add(scheme.MakeSigner(0)->Sign(cert.SignedPayload()));
 
   Encoder enc;
-  cert.EncodeTo(&enc);
+  codec::Encode(&enc, cert);
   Decoder dec(enc.buffer());
-  BatchCertificate decoded = BatchCertificate::DecodeFrom(&dec).value();
+  BatchCertificate decoded = codec::Decode<BatchCertificate>(&dec).value();
   EXPECT_EQ(decoded.partition, cert.partition);
   EXPECT_EQ(decoded.batch_id, cert.batch_id);
   EXPECT_EQ(decoded.batch_digest, cert.batch_digest);
@@ -351,7 +351,7 @@ TEST(BatchCertificateTest, EncodeDecodeRoundTrip) {
 template <typename T>
 Bytes Encoded(const T& value) {
   Encoder enc;
-  value.EncodeTo(&enc);
+  codec::Encode(&enc, value);
   return enc.Take();
 }
 

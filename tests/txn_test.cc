@@ -57,9 +57,9 @@ TEST(TransactionTest, EncodeDecodeRoundTrip) {
   txn.participants = {0, 2, 4};
   txn.coordinator = 2;
   Encoder enc;
-  txn.EncodeTo(&enc);
+  codec::Encode(&enc, txn);
   Decoder dec(enc.buffer());
-  Transaction decoded = Transaction::DecodeFrom(&dec).value();
+  Transaction decoded = codec::Decode<Transaction>(&dec).value();
   EXPECT_EQ(decoded, txn);
 }
 

@@ -516,16 +516,5 @@ TEST_P(WireRoundTripTest, EncodingsMatchPinnedDigest) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WireRoundTripTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// NewViewMsg is the one deliberate exception: it never crosses the
-// wire (EncodeMessage emits the bare discriminator, DecodeMessage
-// rejects it) and message.h carries the matching struct-level
-// check:allow(wire-parity) annotation.
-TEST(WireRoundTripExceptionTest, NewViewMsgIsNotSerializable) {
-  NewViewMsg msg;
-  msg.new_view = 2;
-  Bytes encoded = EncodeMessage(msg);
-  EXPECT_FALSE(DecodeMessage(encoded).ok());
-}
-
 }  // namespace
 }  // namespace transedge::wire
