@@ -1,5 +1,6 @@
 #include "core/consensus/batch_validation.h"
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -8,6 +9,11 @@
 #include "txn/prepared_batches.h"
 
 namespace transedge::core {
+
+bool IsClusterMember(const NodeContext* ctx, crypto::NodeId id) {
+  const auto& members = ctx->cluster_members();
+  return std::find(members.begin(), members.end(), id) != members.end();
+}
 
 Bytes ProposalSignPayload(const crypto::Digest& digest) {
   Encoder enc;

@@ -14,6 +14,11 @@ namespace transedge::core {
 /// certificate share covers, and the full Definition 3.1 re-validation a
 /// replica runs before voting on a proposed batch.
 
+/// True when `id` is a replica of this node's cluster. Every engine
+/// drops votes and view-change demands from anyone else: a client or a
+/// replica of another partition must never count toward a quorum.
+bool IsClusterMember(const NodeContext* ctx, crypto::NodeId id);
+
 /// Bytes signed by the leader over a proposed batch digest.
 Bytes ProposalSignPayload(const crypto::Digest& digest);
 

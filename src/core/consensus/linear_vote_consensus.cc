@@ -51,11 +51,6 @@ bool LinearVoteConsensus::OnMessage(sim::ActorId from,
   }
 }
 
-bool LinearVoteConsensus::IsClusterMember(crypto::NodeId id) const {
-  const auto& members = ctx_->cluster_members();
-  return std::find(members.begin(), members.end(), id) != members.end();
-}
-
 void LinearVoteConsensus::PruneStaleLocks() {
   locks_.erase(locks_.begin(),
                locks_.upper_bound(ctx_->mutable_log().LastBatchId()));
@@ -290,7 +285,7 @@ void LinearVoteConsensus::HandleVote(sim::ActorId from,
   // a proposal we actually made: anything else would occupy a vote slot
   // without ever surviving share verification, letting the quorum count
   // overshoot the verifiable shares.
-  if (msg.share.signer != from || !IsClusterMember(from)) return;
+  if (msg.share.signer != from || !IsClusterMember(ctx_, from)) return;
   auto it = instances_.find(msg.batch_id);
   if (it == instances_.end() || !it->second.has_batch) return;
   Instance& inst = it->second;
@@ -663,7 +658,7 @@ void LinearVoteConsensus::HandleViewChange(
   if (ctx_->config().LeaderOf(ctx_->partition(), target) != ctx_->id()) {
     return;  // Misrouted; only the prospective leader aggregates.
   }
-  if (!IsClusterMember(from) ||
+  if (!IsClusterMember(ctx_, from) ||
       !ctx_->verifier().Verify(ViewChangePayload(target), msg.signature) ||
       msg.signature.signer != from) {
     return;  // Forged request or outsider.

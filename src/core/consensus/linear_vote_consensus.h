@@ -161,7 +161,6 @@ class LinearVoteConsensus : public Consensus {
   bool IsLeaderSelf() const {
     return ctx_->config().LeaderOf(ctx_->partition(), view_) == ctx_->id();
   }
-  bool IsClusterMember(crypto::NodeId id) const;
 
   /// Drops locks for slots the log has already decided.
   void PruneStaleLocks();

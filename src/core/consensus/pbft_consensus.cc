@@ -6,6 +6,18 @@
 
 namespace transedge::core {
 
+namespace {
+
+/// Bytes a view-change demand signs.
+Bytes ViewChangePayload(uint64_t new_view) {
+  Encoder enc;
+  enc.PutString("transedge-view-change");
+  enc.PutU64(new_view);
+  return enc.Take();
+}
+
+}  // namespace
+
 PbftConsensus::PbftConsensus(NodeContext* ctx, Hooks hooks)
     : ctx_(ctx), hooks_(std::move(hooks)) {}
 
@@ -125,6 +137,7 @@ void PbftConsensus::HandlePrePrepare(sim::ActorId from,
 void PbftConsensus::HandlePrepare(sim::ActorId from,
                                   const wire::PrepareMsg& msg) {
   if (msg.view != view_) return;
+  if (!IsClusterMember(ctx_, from)) return;
   if (msg.batch_id <= ctx_->mutable_log().LastBatchId()) return;
   auto [it, inserted] =
       instances_.try_emplace(msg.batch_id, ctx_->config().merkle_depth);
@@ -136,6 +149,7 @@ void PbftConsensus::HandlePrepare(sim::ActorId from,
 void PbftConsensus::HandleCommit(sim::ActorId from,
                                  const wire::CommitMsg& msg) {
   if (msg.view != view_) return;
+  if (!IsClusterMember(ctx_, from)) return;
   if (msg.batch_id <= ctx_->mutable_log().LastBatchId()) return;
   auto [it, inserted] =
       instances_.try_emplace(msg.batch_id, ctx_->config().merkle_depth);
@@ -232,10 +246,7 @@ void PbftConsensus::InitiateViewChange(uint64_t new_view) {
   wire::ViewChangeMsg msg;
   msg.new_view = new_view;
   msg.last_committed = ctx_->mutable_log().LastBatchId();
-  Encoder enc;
-  enc.PutString("transedge-view-change");
-  enc.PutU64(new_view);
-  msg.signature = ctx_->Sign(enc.buffer());
+  msg.signature = ctx_->Sign(ViewChangePayload(new_view));
   BroadcastCounted(ShareMsg(std::move(msg)),
                    ctx_->Charge(ctx_->config().cost.signature_op));
   MaybeAdoptView(new_view);
@@ -261,6 +272,10 @@ void PbftConsensus::HandleViewChange(sim::ActorId from,
                                      const wire::ViewChangeMsg& msg) {
   uint64_t target = msg.new_view;
   if (target <= view_) return;
+  if (!IsClusterMember(ctx_, from) || msg.signature.signer != from ||
+      !ctx_->verifier().Verify(ViewChangePayload(target), msg.signature)) {
+    return;  // Forged demand or outsider.
+  }
   auto& votes = view_change_votes_[target];
   votes.insert(from);
 

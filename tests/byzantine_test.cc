@@ -383,5 +383,79 @@ TEST_P(WrongRootProposalTest, WrongRootProposalIsNeverCertified) {
   EXPECT_TRUE(result->committed) << result->reason;
 }
 
+// Votes count only from cluster members. f+1 replicas of partition 1
+// each send every replica of partition 0 a view-change demand for view
+// 1, correctly signed with their own keys. Under either engine that
+// would be enough to start a view change if outsiders counted (f+1
+// demands make a replica join; its own and the joiners' votes reach
+// 2f+1). Partition 0 must ignore them; the same demands from f+1 of its
+// own members then do change the view, so the injection path is live.
+class OutsiderViewChangeTest
+    : public ::testing::TestWithParam<ConsensusKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, OutsiderViewChangeTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(OutsiderViewChangeTest, NonMembersCannotForceAViewChange) {
+  const uint64_t seed = 77;
+  Fixture fx(/*partitions=*/2, seed, sim::Seconds(30), /*f=*/1, GetParam());
+  crypto::HmacSignatureScheme scheme(fx.config.total_replicas(),
+                                     seed ^ 0x5ed);
+  sim::Network& net = fx.system->env().network();
+
+  // The demand `sender` signs for view 1, in the engine's own message.
+  auto demand = [&](crypto::NodeId sender) -> sim::MessagePtr {
+    Encoder payload;
+    if (GetParam() == ConsensusKind::kPbft) {
+      payload.PutString("transedge-view-change");
+      payload.PutU64(1);
+      auto msg = std::make_shared<wire::ViewChangeMsg>();
+      msg->new_view = 1;
+      msg->signature = scheme.MakeSigner(sender)->Sign(payload.buffer());
+      return msg;
+    }
+    payload.PutString("transedge-linear-view-change");
+    payload.PutU32(0);  // Partition.
+    payload.PutU64(1);
+    auto msg = std::make_shared<wire::LinearViewChangeMsg>();
+    msg->new_view = 1;
+    msg->signature = scheme.MakeSigner(sender)->Sign(payload.buffer());
+    return msg;
+  };
+  // Senders are the last f+1 replicas of their cluster, so neither the
+  // current leader nor view 1's leader is among them.
+  auto send_demands = [&](PartitionId from_partition) {
+    const uint32_t n = fx.config.replicas_per_cluster();
+    for (uint32_t s = n - 1 - fx.config.f; s < n; ++s) {
+      crypto::NodeId sender = fx.config.ReplicaNode(from_partition, s);
+      for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+        net.Send(sender, fx.config.ReplicaNode(0, i), demand(sender));
+      }
+    }
+  };
+  auto view_changes = [&] {
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+      total += fx.system->node(0, i)->stats().view_changes;
+    }
+    return total;
+  };
+
+  fx.system->env().Schedule(sim::Millis(30), [&] { send_demands(1); });
+  fx.system->env().RunUntil(sim::Seconds(1));
+  EXPECT_EQ(view_changes(), 0u);
+  for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(fx.system->node(0, i)->view(), 0u) << "replica " << i;
+  }
+
+  fx.system->env().Schedule(sim::Millis(10), [&] { send_demands(0); });
+  fx.system->env().RunUntil(sim::Seconds(2));
+  EXPECT_GT(view_changes(), 0u);
+}
+
 }  // namespace
 }  // namespace transedge
