@@ -178,9 +178,11 @@ Status DecodeInto(Decoder* dec, T& value) {
     std::copy(raw.begin(), raw.end(), value.begin());
     return Status::OK();
   } else if constexpr (internal::kIsVector<T>) {
+    // No reserve(count): elements can be far larger than the one byte
+    // GetCount allows per count, so the vector grows only as elements
+    // actually decode.
     TE_ASSIGN_OR_RETURN(uint32_t count, dec->GetCount());
     value.clear();
-    value.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       TE_RETURN_IF_ERROR(DecodeInto(dec, value.emplace_back()));
     }

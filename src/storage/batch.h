@@ -7,7 +7,6 @@
 
 #include "common/bytes.h"
 #include "common/codec.h"
-#include "common/result.h"
 #include "txn/cd_vector.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"

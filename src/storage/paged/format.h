@@ -6,7 +6,6 @@
 
 #include "common/bytes.h"
 #include "common/codec.h"
-#include "common/result.h"
 #include "crypto/sha256.h"
 #include "txn/types.h"
 

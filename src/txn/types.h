@@ -7,7 +7,6 @@
 
 #include "common/bytes.h"
 #include "common/codec.h"
-#include "common/result.h"
 
 namespace transedge {
 

@@ -30,9 +30,9 @@ bool Is(uint32_t type) {
 }
 
 template <typename... Messages>
-void EncodeAny(const sim::Message& msg, Encoder* enc,
+void EncodeAny(uint32_t type, const sim::Message& msg, Encoder* enc,
                MessageList<Messages...>) {
-  (void)((Is<Messages>(msg.type()) &&
+  (void)((Is<Messages>(type) &&
           (codec::Encode(enc, static_cast<const Messages&>(msg)), true)) ||
          ...);
 }
@@ -50,19 +50,22 @@ Result<sim::MessagePtr> DecodeOne(Decoder* dec) {
 template <typename... Messages>
 Result<sim::MessagePtr> DecodeAny(uint32_t type, Decoder* dec,
                                   MessageList<Messages...>) {
-  Result<sim::MessagePtr> out =
-      Status::Corruption("unknown message type " + std::to_string(type));
-  (void)((Is<Messages>(type) && (out = DecodeOne<Messages>(dec), true)) ||
-         ...);
+  Result<sim::MessagePtr> out = sim::MessagePtr();
+  bool known =
+      ((Is<Messages>(type) && (out = DecodeOne<Messages>(dec), true)) || ...);
+  if (!known) {
+    return Status::Corruption("unknown message type " + std::to_string(type));
+  }
   return out;
 }
 
 }  // namespace
 
 Bytes EncodeMessage(const sim::Message& msg) {
+  const uint32_t type = msg.type();
   Encoder enc;
-  enc.PutU32(msg.type());
-  EncodeAny(msg, &enc, WireMessages{});
+  enc.PutU32(type);
+  EncodeAny(type, msg, &enc, WireMessages{});
   return enc.Take();
 }
 
