@@ -227,19 +227,6 @@ size_t CountMatchingVotes(const std::map<crypto::NodeId, crypto::Digest>& votes,
   return n;
 }
 
-size_t SendEquivocatingVariants(NodeContext* ctx, const sim::MessagePtr& main,
-                                const sim::MessagePtr& alt, sim::Time at) {
-  size_t sent = 0;
-  bool flip = false;
-  for (crypto::NodeId member : ctx->cluster_members()) {
-    if (member == ctx->id()) continue;
-    ctx->Send(member, flip ? alt : main, at);
-    flip = !flip;
-    ++sent;
-  }
-  return sent;
-}
-
 crypto::SignatureSet CollectVerifiedShares(
     NodeContext* ctx, const Bytes& payload,
     const std::map<crypto::NodeId, crypto::Digest>& votes,

@@ -51,14 +51,6 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
 size_t CountMatchingVotes(const std::map<crypto::NodeId, crypto::Digest>& votes,
                           const crypto::Digest& digest);
 
-/// The ByzantineBehavior::kEquivocate fault, shared by every engine's
-/// proposal path: sends `main` and `alt` alternately to every other
-/// cluster member, so the two halves of the cluster see conflicting
-/// variants and neither can gather a quorum of matching votes. Returns
-/// the number of messages sent (for the engine's stats counter).
-size_t SendEquivocatingVariants(NodeContext* ctx, const sim::MessagePtr& main,
-                                const sim::MessagePtr& alt, sim::Time at);
-
 /// Collects up to `max_signatures` shares that verify over `payload`,
 /// taken from voters whose reported digest matches `digest`. The
 /// verify-before-count rule every quorum object (certificate, commit QC)

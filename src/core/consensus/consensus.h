@@ -36,6 +36,11 @@ namespace transedge::core {
 ///   - `LinearVoteConsensus` (linear_vote_consensus.h): HotStuff-style
 ///     leader-aggregated two-phase voting with broadcast quorum
 ///     certificates, O(n) messages per phase.
+///
+/// Both derive from `ConsensusCore` (consensus_core.h), which gives them
+/// one view-change mechanism: prepare-certificate locks, view changes
+/// routed to the prospective leader, re-proposal of locked batches and
+/// log catch-up.
 class Consensus {
  public:
   struct Stats {

@@ -1,10 +1,7 @@
 #ifndef TRANSEDGE_CORE_CONSENSUS_PBFT_CONSENSUS_H_
 #define TRANSEDGE_CORE_CONSENSUS_PBFT_CONSENSUS_H_
 
-#include <map>
-#include <set>
-
-#include "core/consensus/consensus.h"
+#include "core/consensus/consensus_core.h"
 #include "wire/message.h"
 
 namespace transedge::core {
@@ -12,65 +9,30 @@ namespace transedge::core {
 /// PBFT-style intra-cluster consensus on batches (§3.2) — the paper's
 /// protocol and the default `ConsensusKind::kPbft` engine: PrePrepare /
 /// Prepare / Commit voting on one batch at a time with all-to-all vote
-/// broadcasts (O(n²) messages per decided batch), batch re-validation
-/// against Definition 3.1 and the read-only segment rules, certificate
-/// assembly from the prepare-phase shares, and symmetric broadcast view
-/// changes.
-class PbftConsensus : public Consensus {
+/// broadcasts (O(n²) messages per decided batch) and batch re-validation
+/// against Definition 3.1 and the read-only segment rules. A replica
+/// assembles the 2f+1 prepared certificate (with its view-bind quorum)
+/// from the broadcast prepare shares, locks on it before it broadcasts
+/// Commit, and logs the decided batch with it. View changes, lock
+/// reports, re-proposal and catch-up come from ConsensusCore, shared
+/// with the linear-vote engine.
+class PbftConsensus : public ConsensusCore {
  public:
   PbftConsensus(NodeContext* ctx, Hooks hooks);
 
-  uint64_t view() const override { return view_; }
-  void Propose(storage::Batch batch, merkle::MerkleTree post_tree) override;
-  bool OnMessage(sim::ActorId from, const sim::Message& msg) override;
+  /// PBFT keeps the Consensus default MaxPipelineDepth() == 1 and
+  /// advances only the instance at the log tail + 1.
   void AdvanceConsensus() override;
-  void StartViewChangeTimer(BatchId batch_id) override;
-  const Stats& stats() const override { return stats_; }
-  /// Undecided proposals past the log tail. PBFT keeps the Consensus
-  /// default MaxPipelineDepth() == 1 (one batch at a time), so this is
-  /// 0 or 1 outside of queued out-of-order proposals.
-  size_t InFlight() const override;
 
  private:
-  struct ConsensusInstance {
-    bool has_batch = false;
-    storage::Batch batch;
-    crypto::Digest digest;
-    bool validated = false;
-    bool validation_failed = false;
-    merkle::MerkleTree post_tree;  // Tree with the batch's writes applied.
-    /// Votes carry the digest the voter saw, so an equivocating leader's
-    /// two batch variants split the vote and neither reaches quorum.
-    std::map<crypto::NodeId, crypto::Digest> prepare_votes;
-    std::map<crypto::NodeId, crypto::Digest> commit_votes;
-    std::map<crypto::NodeId, crypto::Signature> cert_shares;
-    bool sent_prepare = false;
-    bool sent_commit = false;
-    bool decided = false;
-
-    explicit ConsensusInstance(int merkle_depth) : post_tree(merkle_depth) {}
-  };
+  bool OnVotingMessage(sim::ActorId from, const sim::Message& msg) override;
+  sim::MessagePtr MakeProposal(const storage::Batch& batch,
+                               const crypto::Digest& digest,
+                               const Lock* justify) override;
 
   void HandlePrePrepare(sim::ActorId from, const wire::PrePrepareMsg& msg);
   void HandlePrepare(sim::ActorId from, const wire::PrepareMsg& msg);
   void HandleCommit(sim::ActorId from, const wire::CommitMsg& msg);
-  void HandleViewChange(sim::ActorId from, const wire::ViewChangeMsg& msg);
-
-  void InitiateViewChange(uint64_t new_view);
-  void MaybeAdoptView(uint64_t target);
-
-  /// Network sends with the engine's message counter maintained.
-  void SendCounted(crypto::NodeId to, const sim::MessagePtr& msg,
-                   sim::Time at);
-  void BroadcastCounted(const sim::MessagePtr& msg, sim::Time at);
-
-  NodeContext* ctx_;
-  Hooks hooks_;
-
-  uint64_t view_ = 0;
-  std::map<BatchId, ConsensusInstance> instances_;
-  std::map<uint64_t, std::set<crypto::NodeId>> view_change_votes_;
-  Stats stats_;
 };
 
 }  // namespace transedge::core

@@ -30,10 +30,11 @@ enum class MessageType : uint32_t {
   kPrePrepare = 20,
   kPrepare = 21,
   kCommit = 22,
-  kViewChange = 23,
-  kNewView = 24,  // Retired: no message carries it; decoding rejects it.
+  kViewChange = 23,  // Retired: no message carries it; decoding rejects it.
+  kNewView = 24,     // Retired: no message carries it; decoding rejects it.
 
-  // Intra-cluster consensus (HotStuff-style linear-vote engine).
+  // Intra-cluster consensus (HotStuff-style linear-vote engine). The
+  // view-change, new-view and catch-up messages serve both engines.
   kLinearPropose = 25,
   kLinearVote = 26,
   kLinearQc = 27,
@@ -179,22 +180,36 @@ struct PrePrepareMsg : TypedMessage<MessageType::kPrePrepare> {
   uint64_t view = 0;
   storage::Batch batch;
   crypto::Signature leader_signature;  // over the batch digest
-  /// Leader's certificate share (counts as the leader's prepare vote).
+  /// Leader's certificate and view-bind shares (together the leader's
+  /// prepare vote; see PrepareMsg).
   crypto::Signature leader_cert_share;
+  crypto::Signature leader_view_share;
+  /// View-change re-proposal justification, as in LinearProposeMsg.
+  bool has_justify = false;
+  uint64_t justify_view = 0;
+  storage::BatchCertificate justify_cert;
+  crypto::SignatureSet justify_view_sigs;
 
-  TE_CODEC_FIELDS(view, batch, leader_signature, leader_cert_share)
+  // The justification travels only when has_justify is set.
+  TE_CODEC_FIELDS(view, batch, leader_signature, leader_cert_share,
+                  leader_view_share, has_justify,
+                  codec::If(has_justify, justify_view, justify_cert,
+                            justify_view_sigs))
 };
 
 /// Replica vote after re-validating the proposed batch. Carries the
-/// replica's certificate-share signature so the cluster can assemble the
-/// f+1 batch certificate.
+/// replica's certificate share, from which every replica assembles the
+/// 2f+1 prepared certificate it locks on and logs, and the view-bind
+/// share that certifies the view that certificate formed in (see
+/// LinearVoteMsg::view_share).
 struct PrepareMsg : TypedMessage<MessageType::kPrepare> {
   uint64_t view = 0;
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
   crypto::Signature cert_share;  // over BatchCertificate::SignedPayload()
+  crypto::Signature view_share;  // over the view-bind payload
 
-  TE_CODEC_FIELDS(view, batch_id, batch_digest, cert_share)
+  TE_CODEC_FIELDS(view, batch_id, batch_digest, cert_share, view_share)
 };
 
 struct CommitMsg : TypedMessage<MessageType::kCommit> {
@@ -203,15 +218,6 @@ struct CommitMsg : TypedMessage<MessageType::kCommit> {
   crypto::Digest batch_digest;
 
   TE_CODEC_FIELDS(view, batch_id, batch_digest)
-};
-
-/// Sent when a replica's progress timer fires without a decision.
-struct ViewChangeMsg : TypedMessage<MessageType::kViewChange> {
-  uint64_t new_view = 0;
-  BatchId last_committed = kNoBatch;
-  crypto::Signature signature;
-
-  TE_CODEC_FIELDS(new_view, last_committed, signature)
 };
 
 // ---------------------------------------------------------------------------
@@ -290,6 +296,10 @@ struct LinearQcMsg : TypedMessage<MessageType::kLinearQc> {
   TE_CODEC_FIELDS(view, phase, cert, commit_sigs, view_sigs)
 };
 
+// ---------------------------------------------------------------------------
+// View change and catch-up, shared by both engines (ConsensusCore)
+// ---------------------------------------------------------------------------
+
 /// One prepare-QC lock carried inside a view-change message: the locked
 /// batch, the QC that locked it, the view the QC formed in, and the
 /// quorum of view-bind signatures proving that view claim. With
@@ -304,7 +314,7 @@ struct LinearLockReport {
 };
 
 /// Replica -> prospective leader of `new_view` when the progress timer
-/// fires: O(n) per view change instead of PBFT's broadcast.
+/// fires, under either engine: O(n) messages per view change.
 struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
   uint64_t new_view = 0;
   BatchId last_committed = kNoBatch;

@@ -15,7 +15,7 @@ struct MessageList {};
 using WireMessages =
     MessageList<ClientReadRequest, ClientReadReply, CommitRequest,
                 CommitReply, RoRequest, RoReply, RoBatchRequest,
-                PrePrepareMsg, PrepareMsg, CommitMsg, ViewChangeMsg,
+                PrePrepareMsg, PrepareMsg, CommitMsg,
                 LinearProposeMsg, LinearVoteMsg, LinearQcMsg,
                 LinearViewChangeMsg, LinearNewViewMsg, LinearCatchUpMsg,
                 CoordPrepareMsg, PreparedMsg, CommitRecordMsg,

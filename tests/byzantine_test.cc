@@ -159,9 +159,9 @@ TEST(ByzantineTest, EquivocatingLeaderCannotCertifyAndIsReplaced) {
   fx.system->env().RunUntil(sim::Seconds(30));
 
   // Safety: no two replicas ever certified different batches at the same
-  // log position. (A replica stuck in a divergent view may lag — BFT
-  // guarantees agreement for the 2f+1 quorum, and catch-up is state
-  // transfer, which is out of scope — so compare common prefixes.)
+  // log position. (A replica may lag — BFT guarantees agreement for the
+  // 2f+1 quorum, and catch-up runs only when a lagging replica's own
+  // view-change request reveals its gap — so compare common prefixes.)
   size_t longest = 0;
   for (uint32_t i = 1; i < fx.config.replicas_per_cluster(); ++i) {
     longest = std::max(longest, fx.system->node(0, i)->log().size());
@@ -407,17 +407,10 @@ TEST_P(OutsiderViewChangeTest, NonMembersCannotForceAViewChange) {
                                      seed ^ 0x5ed);
   sim::Network& net = fx.system->env().network();
 
-  // The demand `sender` signs for view 1, in the engine's own message.
+  // The demand `sender` signs for view 1 (both engines share the
+  // view-change message).
   auto demand = [&](crypto::NodeId sender) -> sim::MessagePtr {
     Encoder payload;
-    if (GetParam() == ConsensusKind::kPbft) {
-      payload.PutString("transedge-view-change");
-      payload.PutU64(1);
-      auto msg = std::make_shared<wire::ViewChangeMsg>();
-      msg->new_view = 1;
-      msg->signature = scheme.MakeSigner(sender)->Sign(payload.buffer());
-      return msg;
-    }
     payload.PutString("transedge-linear-view-change");
     payload.PutU32(0);  // Partition.
     payload.PutU64(1);
@@ -455,6 +448,93 @@ TEST_P(OutsiderViewChangeTest, NonMembersCannotForceAViewChange) {
   fx.system->env().Schedule(sim::Millis(10), [&] { send_demands(0); });
   fx.system->env().RunUntil(sim::Seconds(2));
   EXPECT_GT(view_changes(), 0u);
+}
+
+// Catch-up intake: a forged log entry for a future slot, sent to a
+// lagging replica ahead of the genuine transfer, must be dropped on
+// receipt. Parked unchecked, it would shadow the genuine entry for its
+// slot and stall the replica until someone served the transfer again.
+// The lagging replica gets exactly one transfer here: its later
+// view-change requests (which would trigger another) are dropped.
+class ForgedCatchUpTest : public ::testing::TestWithParam<ConsensusKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ForgedCatchUpTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(ForgedCatchUpTest, ForgedFutureEntryDoesNotBlockCatchUp) {
+  const uint64_t seed = 77;
+  Fixture fx(/*partitions=*/1, seed, sim::Seconds(30), /*f=*/1, GetParam());
+  crypto::HmacSignatureScheme scheme(fx.config.total_replicas(),
+                                     seed ^ 0x5ed);
+  sim::Network& net = fx.system->env().network();
+  fx.system->env().RunUntil(sim::Millis(50));  // Genesis decided everywhere.
+
+  const crypto::NodeId lagging = fx.config.ReplicaNode(0, 2);
+  net.Disconnect(lagging);
+  Client* client = fx.system->AddClient();
+  int committed = 0;
+  auto write = [&](size_t key, const char* value) {
+    client->ExecuteReadWrite({}, {WriteOp{fx.data[key].first, ToBytes(value)}},
+                             [&](RwResult r) {
+                               if (r.committed) ++committed;
+                             });
+  };
+  // Spaced writes, so the lagging replica misses several batches.
+  for (size_t i = 0; i < 5; ++i) {
+    fx.system->env().Schedule(sim::Millis(10 + 20 * static_cast<int>(i)),
+                              [&, i] { write(i, "gap"); });
+  }
+  fx.system->env().RunUntil(sim::Millis(400));
+  ASSERT_EQ(committed, 5);
+  const storage::SmrLog& leader_log = fx.system->node(0, 0)->log();
+  const storage::SmrLog& lag_log = fx.system->node(0, 2)->log();
+  const BatchId next = lag_log.LastBatchId() + 1;
+  ASSERT_GE(leader_log.LastBatchId(), next + 1);  // A future slot exists.
+
+  int requests = 0;
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId,
+                        const sim::MessagePtr& msg) {
+    if (from != lagging || static_cast<wire::MessageType>(msg->type()) !=
+                               wire::MessageType::kLinearViewChange) {
+      return true;
+    }
+    return ++requests == 1;
+  });
+  net.Reconnect(lagging);
+
+  // A cluster member forges every future entry: a variant of the real
+  // batch whose certificate carries only the forger's own signature.
+  const crypto::NodeId forger = fx.config.ReplicaNode(0, 3);
+  std::unique_ptr<crypto::Signer> signer = scheme.MakeSigner(forger);
+  for (BatchId id = next + 1; id <= leader_log.LastBatchId(); ++id) {
+    auto forged = std::make_shared<wire::LinearCatchUpMsg>();
+    forged->batch = leader_log.Get(id).value()->batch;
+    forged->batch.ro.timestamp_us += 1;
+    forged->cert = core::CertificatePayloadFor(
+        0, forged->batch, forged->batch.ComputeDigest());
+    forged->cert.signatures.Add(signer->Sign(forged->cert.SignedPayload()));
+    net.Send(forger, lagging, std::move(forged));
+  }
+
+  // One more write shows the lagging replica a proposal past its log;
+  // its progress timer then requests a view change, which the
+  // prospective leader answers with the genuine transfer.
+  fx.system->env().Schedule(sim::Millis(10), [&] { write(10, "after"); });
+  fx.system->env().RunUntil(fx.system->env().now() + sim::Seconds(2));
+  net.SetLinkFilter(nullptr);
+
+  EXPECT_EQ(committed, 6);
+  EXPECT_GE(requests, 1);
+  ASSERT_EQ(lag_log.size(), leader_log.size());
+  for (BatchId id = 0; id <= leader_log.LastBatchId(); ++id) {
+    EXPECT_EQ(lag_log.Get(id).value()->batch.ComputeDigest(),
+              leader_log.Get(id).value()->batch.ComputeDigest())
+        << "batch " << id;
+  }
 }
 
 }  // namespace

@@ -393,31 +393,73 @@ TEST_F(LinearVoteTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
   }
 }
 
-TEST_F(LinearVoteTest, DelayedCommitQcDoesNotForkTheLog) {
+// ---------------------------------------------------------------------------
+// View-change safety and catch-up, under both engines
+// ---------------------------------------------------------------------------
+
+/// Withholds the view-0 decision from every replica but the view-0
+/// leader: the linear engine's commit QCs never leave that leader, and
+/// PBFT's view-0 Commit votes reach only it. The leader decides alone;
+/// the others hold a prepare-certificate lock but no decision when
+/// their progress timers fire.
+sim::Network::LinkFilter WithholdCommitsFromAllButLeader(
+    crypto::NodeId first_leader) {
+  return [first_leader](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    switch (static_cast<wire::MessageType>(msg->type())) {
+      case wire::MessageType::kLinearQc:
+        return from != first_leader ||
+               static_cast<const wire::LinearQcMsg&>(*msg).phase !=
+                   wire::kLinearPhaseCommit;
+      case wire::MessageType::kCommit:
+        return to == first_leader ||
+               static_cast<const wire::CommitMsg&>(*msg).view != 0;
+      default:
+        return true;
+    }
+  };
+}
+
+/// Every pair of replica logs of partition 0 agrees on its common prefix.
+void ExpectNoFork(const System& system) {
+  const uint32_t n = system.config().replicas_per_cluster();
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      const auto& a = system.node(0, i)->log();
+      const auto& b = system.node(0, j)->log();
+      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
+      for (BatchId id = 0; id <= common; ++id) {
+        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
+                  b.Get(id).value()->batch.ComputeDigest())
+            << "fork at batch " << id << " between replicas " << i << " and "
+            << j;
+      }
+    }
+  }
+}
+
+class EngineSafetyTest : public ::testing::TestWithParam<ConsensusKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EngineSafetyTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(EngineSafetyTest, DelayedCommitQcDoesNotForkTheLog) {
   // Regression for the view-change safety hole: the view-0 leader
-  // assembles the commit QC and decides locally, but the broadcast never
-  // reaches the replicas before their progress timers fire. Without the
-  // prepare-QC lock carried through the view change, the new leader
-  // would propose a *different* batch at the same id and permanently
-  // fork the old leader's log.
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+  // decides locally, but the decision never reaches the replicas before
+  // their progress timers fire. Without the prepare-certificate lock
+  // carried through the view change, the new leader would propose a
+  // *different* batch at the same id and permanently fork the old
+  // leader's log.
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
-
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
   system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+      WithholdCommitsFromAllButLeader(config.ReplicaNode(0, 0)));
   system.Start();
 
   Client* client = system.AddClient();
@@ -434,26 +476,13 @@ TEST_F(LinearVoteTest, DelayedCommitQcDoesNotForkTheLog) {
   // The old leader decided batches the others only saw after the view
   // change; every pair of logs must still agree on their common prefix
   // (in particular at id 0, which node 0 decided alone in view 0).
-  const uint32_t n = config.replicas_per_cluster();
   bool view_advanced = false;
-  for (uint32_t i = 0; i < n; ++i) {
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
     if (system.node(0, i)->view() > 0) view_advanced = true;
     ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
   }
   EXPECT_TRUE(view_advanced);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = system.node(0, i)->log();
-      const auto& b = system.node(0, j)->log();
-      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
-      for (BatchId id = 0; id <= common; ++id) {
-        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
-                  b.Get(id).value()->batch.ComputeDigest())
-            << "fork at batch " << id << " between replicas " << i << " and "
-            << j;
-      }
-    }
-  }
+  ExpectNoFork(system);
 }
 
 // The pipelined generalisation of DelayedCommitQcDoesNotForkTheLog: with
@@ -474,18 +503,8 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
   auto data = TestData(1);
   system.Preload(data);
 
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
   system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+      WithholdCommitsFromAllButLeader(config.ReplicaNode(0, 0)));
   system.Start();
 
   // Enough independent writers that the leader keeps the pipeline full
@@ -528,31 +547,20 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
 
 // A byzantine replica reports its (real) locks with inflated view
 // numbers during the view change, trying to outrank genuinely newer
-// locks. The view-bind quorum embedded in each prepare QC certifies the
-// true view, so the new leader drops the inflated reports and the
-// cluster converges on the honestly locked batches.
-TEST_F(LinearVoteTest, InflatedLockViewReportCannotHijackViewChange) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
-  config.pipeline_depth = 2;
+// locks. The view-bind quorum embedded in each prepare certificate
+// certifies the true view, so the new leader drops the inflated reports
+// and the cluster converges on the honestly locked batches.
+TEST_P(EngineSafetyTest, InflatedLockViewReportCannotHijackViewChange) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
+  config.pipeline_depth = 2;  // PBFT pins its depth to 1.
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
 
-  // Replicas lock (prepare QCs arrive) but never decide (commit QCs are
-  // dropped), so the view change happens with live locks to report.
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
+  // Replicas lock but never decide in view 0, so the view change
+  // happens with live locks to report.
   system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+      WithholdCommitsFromAllButLeader(config.ReplicaNode(0, 0)));
   system.Start();
   system.node(0, 2)->SetByzantineBehavior(
       core::ByzantineBehavior::kInflateLockView);
@@ -573,19 +581,8 @@ TEST_F(LinearVoteTest, InflatedLockViewReportCannotHijackViewChange) {
     if (system.node(0, i)->view() > 0) view_advanced = true;
   }
   EXPECT_TRUE(view_advanced);
-  // No fork, and every logged certificate still verifies at quorum size.
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = system.node(0, i)->log();
-      const auto& b = system.node(0, j)->log();
-      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
-      for (BatchId id = 0; id <= common; ++id) {
-        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
-                  b.Get(id).value()->batch.ComputeDigest())
-            << "fork at batch " << id;
-      }
-    }
-  }
+  // No fork, and every logged certificate still verifies.
+  ExpectNoFork(system);
   for (uint32_t i = 1; i < n; ++i) {
     const auto& log = system.node(0, i)->log();
     for (BatchId b = 0; b <= log.LastBatchId(); ++b) {
@@ -599,9 +596,8 @@ TEST_F(LinearVoteTest, InflatedLockViewReportCannotHijackViewChange) {
   }
 }
 
-TEST_F(LinearVoteTest, LaggingReplicaCatchesUpWithoutViewChange) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+TEST_P(EngineSafetyTest, LaggingReplicaCatchesUpWithoutViewChange) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
