@@ -27,6 +27,18 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(4096);
 
+// The Merkle combiner: one 64-byte input (two compressions), run once per
+// tree level by every Put and proof verification.
+void BM_HashPair(benchmark::State& state) {
+  crypto::Digest left = crypto::Sha256::Hash(std::string_view("left"));
+  crypto::Digest right = crypto::Sha256::Hash(std::string_view("right"));
+  for (auto _ : state) {
+    left = crypto::HashPair(left, right);
+    benchmark::DoNotOptimize(left);
+  }
+}
+BENCHMARK(BM_HashPair);
+
 void BM_HmacSign(benchmark::State& state) {
   crypto::HmacSignatureScheme scheme(8, 1);
   auto signer = scheme.MakeSigner(0);

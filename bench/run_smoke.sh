@@ -2,8 +2,9 @@
 # Smoke benchmark: runs the micro-benchmarks and a shrunken Figure-4
 # bench with tiny parameters and emits one JSON document, seeding the
 # BENCH_*.json perf trajectory. The benches run one after another on
-# one core: about 235 s wall time for a Release build on a 4-core Xeon
-# host. The top-level "host" object records each bench's wall seconds.
+# one core: about 90 s wall time for a Release build on a 4-core Xeon
+# host with the SHA extensions. The top-level "host" object records each
+# bench's wall seconds.
 #
 # Usage: bench/run_smoke.sh [output.json]
 #   BUILD_DIR  build tree holding the bench binaries (default: build)
@@ -37,7 +38,7 @@ done
 # present, a placeholder otherwise.
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   micro_json=$("$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_Sha256/256|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerklePutBatch/13|BM_MerkleProve' \
+    --benchmark_filter='BM_Sha256/256|BM_HashPair|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerklePutBatch/13|BM_MerkleProve' \
     --benchmark_min_time=0.05 --benchmark_format=json 2>/dev/null)
 else
   micro_json='{"skipped":"bench_micro not built (google-benchmark missing)"}'

@@ -1,6 +1,15 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cstring>
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define TE_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define TE_SHA256_X86 0
+#endif
 
 namespace transedge::crypto {
 
@@ -27,6 +36,15 @@ constexpr uint32_t kRound[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+// One byte swap and store; GCC vectorizes the equivalent shift loop
+// over the eight state words into much slower code.
+inline void StoreBigEndian(uint32_t v, uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(out, &v, sizeof(v));
+}
+
 }  // namespace
 
 bool Digest::IsZero() const {
@@ -42,57 +60,9 @@ std::string Digest::ToHex() const {
 
 std::string Digest::ShortHex() const { return ToHex().substr(0, 8); }
 
-Sha256::Sha256() { Reset(); }
+namespace sha256_internal {
 
-void Sha256::Reset() {
-  std::memcpy(state_, kInit, sizeof(state_));
-  bit_count_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::Update(const uint8_t* data, size_t len) {
-  bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
-    size_t take = 64 - buffer_len_;
-    if (take > len) take = len;
-    std::memcpy(buffer_ + buffer_len_, data, take);
-    buffer_len_ += take;
-    data += take;
-    len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-}
-
-Digest Sha256::Finish() {
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit count.
-  uint64_t bit_count = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    // Update() adjusts bit_count_, but padding does not count; we saved it.
-    Update(&zero, 1);
-  }
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_count >> (56 - 8 * i));
-  }
-  Update(len_be, 8);
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out.bytes[i * 4 + 0] = static_cast<uint8_t>(state_[i] >> 24);
-    out.bytes[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out.bytes[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out.bytes[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
-  return out;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
+void CompressPortable(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
@@ -106,8 +76,8 @@ void Sha256::ProcessBlock(const uint8_t block[64]) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -126,14 +96,150 @@ void Sha256::ProcessBlock(const uint8_t block[64]) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if TE_SHA256_X86
+
+// The SHA extensions keep the state as two vectors, ABEF and CDGH, and
+// take message words plus round constants four at a time; each
+// sha256rnds2 runs two rounds.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t block[64]) {
+  // Byte order within each 32-bit word: the block is big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[i & 3] holds message words 4i..4i+3; later groups are scheduled
+  // from the previous four in place.
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i) {
+    w[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+        kByteSwap);
+  }
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    if (i >= 4) {
+      __m128i t = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
+      t = _mm_add_epi32(t, _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4));
+      w[i & 3] = _mm_sha256msg2_epu32(t, w[(i + 3) & 3]);
+    }
+    __m128i wk = _mm_add_epi32(
+        w[i & 3],
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool CpuHasShaExtensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx & bit_SHA) != 0;
+  return ssse3 && sse41 && sha;
+}
+
+#else
+
+void CompressShaNi(uint32_t state[8], const uint8_t block[64]) {
+  CompressPortable(state, block);
+}
+
+bool CpuHasShaExtensions() { return false; }
+
+#endif
+
+}  // namespace sha256_internal
+
+namespace {
+
+/// Chosen once, on first use, from CPUID; never changes afterwards.
+void Compress(uint32_t state[8], const uint8_t block[64]) {
+  static const auto kCompress =
+      sha256_internal::CpuHasShaExtensions()
+          ? sha256_internal::CompressShaNi
+          : sha256_internal::CompressPortable;
+  kCompress(state, block);
+}
+
+}  // namespace
+
+Sha256::Sha256() { Reset(); }
+
+void Sha256::Reset() {
+  std::memcpy(state_, kInit, sizeof(state_));
+  bit_count_ = 0;
+  buffer_len_ = 0;
+}
+
+void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may be null; memcpy must not see it.
+  bit_count_ += static_cast<uint64_t>(len) * 8;
+  if (buffer_len_ > 0) {
+    size_t take = 64 - buffer_len_;
+    if (take > len) take = len;
+    std::memcpy(buffer_ + buffer_len_, data, take);
+    buffer_len_ += take;
+    data += take;
+    len -= take;
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_);
+    buffer_len_ = 0;
+  }
+  for (; len >= 64; data += 64, len -= 64) Compress(state_, data);
+  std::memcpy(buffer_, data, len);
+  buffer_len_ = len;
+}
+
+Digest Sha256::Finish() {
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit count in the
+  // last 8 bytes of a block; a second block when the count does not fit.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_, buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
+  }
+  Compress(state_, buffer_);
+
+  Digest out;
+  for (int i = 0; i < 8; ++i) {
+    StoreBigEndian(state_[i], out.bytes.data() + 4 * i);
+  }
+  return out;
 }
 
 Digest Sha256::Hash(const uint8_t* data, size_t len) {

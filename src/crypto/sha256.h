@@ -33,7 +33,9 @@ struct Digest {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch and verified
-/// against the NIST test vectors in sha256_test.cc.
+/// against the NIST test vectors in crypto_test.cc. Blocks are compressed
+/// with the x86 SHA extensions when the CPU has them and by the portable
+/// function otherwise; both give identical digests.
 class Sha256 {
  public:
   Sha256();
@@ -60,8 +62,6 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
@@ -70,6 +70,23 @@ class Sha256 {
 
 /// Hash of the concatenation of two digests; the Merkle tree combiner.
 Digest HashPair(const Digest& left, const Digest& right);
+
+/// The block compression functions behind `Sha256`, exposed so tests can
+/// check the two implementations against each other.
+namespace sha256_internal {
+
+/// Each compress function folds one 64-byte block into the eight-word
+/// chaining state. This one is plain C++ and runs on every host.
+void CompressPortable(uint32_t state[8], const uint8_t block[64]);
+
+/// x86 SHA extensions. Call only when `CpuHasShaExtensions()` is true.
+void CompressShaNi(uint32_t state[8], const uint8_t block[64]);
+
+/// True when the CPU has the SHA, SSSE3 and SSE4.1 instructions that
+/// `CompressShaNi` uses. Always false on non-x86 builds.
+bool CpuHasShaExtensions();
+
+}  // namespace sha256_internal
 
 }  // namespace transedge::crypto
 

@@ -1,6 +1,7 @@
 #include "crypto/signer.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 namespace transedge::crypto {
@@ -18,7 +19,7 @@ Bytes DeriveSigningKey(uint64_t master_seed, NodeId id) {
 
 class HmacSigner : public Signer {
  public:
-  HmacSigner(NodeId id, Bytes key) : id_(id), key_(std::move(key)) {}
+  HmacSigner(NodeId id, const Bytes& key) : id_(id), key_(MakeHmacKey(key)) {}
 
   NodeId id() const override { return id_; }
 
@@ -28,7 +29,7 @@ class HmacSigner : public Signer {
 
  private:
   NodeId id_;
-  Bytes key_;
+  HmacKey key_;
 };
 
 class HmacVerifier : public Verifier {
@@ -38,14 +39,25 @@ class HmacVerifier : public Verifier {
 
   bool Verify(const Bytes& message, const Signature& sig) const override {
     if (sig.signer >= num_principals_) return false;
-    Bytes key = DeriveSigningKey(master_seed_, sig.signer);
-    Digest expected = HmacSha256(key, message);
+    Digest expected = HmacSha256(KeyOf(sig.signer), message);
     return ConstantTimeEquals(expected, sig.mac);
   }
 
  private:
+  // Derived on a signer's first verification; only principals that
+  // actually sign get an entry.
+  const HmacKey& KeyOf(NodeId id) const {
+    auto it = keys_.find(id);
+    if (it == keys_.end()) {
+      it = keys_.emplace(id, MakeHmacKey(DeriveSigningKey(master_seed_, id)))
+               .first;
+    }
+    return it->second;
+  }
+
   uint32_t num_principals_;
   uint64_t master_seed_;
+  mutable std::map<NodeId, HmacKey> keys_;
 };
 
 }  // namespace

@@ -62,7 +62,8 @@ class HmacSignatureScheme {
 
   std::unique_ptr<Signer> MakeSigner(NodeId id) const;
 
-  /// Shared verifier; remains valid for the lifetime of the scheme.
+  /// Shared verifier; remains valid for the lifetime of the scheme. It
+  /// caches each signer's prepared key, so a scheme belongs to one thread.
   const Verifier& verifier() const { return *verifier_; }
 
   uint32_t num_principals() const { return num_principals_; }

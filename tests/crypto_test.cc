@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "crypto/hmac.h"
 #include "crypto/key_store.h"
 #include "crypto/sha256.h"
@@ -85,37 +87,114 @@ TEST(Sha256Test, HashPairIsOrderSensitive) {
   EXPECT_NE(HashPair(a, b), HashPair(b, a));
 }
 
+// --- The two compression functions and block-level padding ---------------
+
+TEST(Sha256CompressTest, HardwareMatchesPortable) {
+  if (!sha256_internal::CpuHasShaExtensions()) {
+    GTEST_SKIP() << "CPU has no SHA extensions; only the portable path runs";
+  }
+  Rng rng(2024);
+  for (int trial = 0; trial < 10000; ++trial) {
+    uint32_t portable[8];
+    uint8_t block[64];
+    for (uint32_t& word : portable) word = static_cast<uint32_t>(rng.Next());
+    for (uint8_t& byte : block) byte = static_cast<uint8_t>(rng.Next());
+    uint32_t hardware[8];
+    std::copy(portable, portable + 8, hardware);
+    sha256_internal::CompressPortable(portable, block);
+    sha256_internal::CompressShaNi(hardware, block);
+    ASSERT_TRUE(std::equal(portable, portable + 8, hardware))
+        << "trial " << trial;
+  }
+}
+
+TEST(Sha256Test, PaddingSweepMatchesHashlib) {
+  // Lengths 0..256 cross every padding case: 55 (one block), 56 and 63
+  // (length spills into a second block), 64, 119 and 120.
+  Bytes msg;
+  Sha256 fold;
+  for (size_t n = 0; n <= 256; ++n) {
+    Digest once = Sha256::Hash(msg);
+    Sha256 bytewise;
+    for (uint8_t b : msg) bytewise.Update(&b, 1);
+    ASSERT_EQ(bytewise.Finish(), once) << "length " << n;
+    fold.Update(once.bytes.data(), once.bytes.size());
+    msg.push_back(static_cast<uint8_t>(n * 31 + 7));
+  }
+  // hashlib.sha256(b"".join(hashlib.sha256(bytes((i * 31 + 7) & 0xff
+  //     for i in range(n))).digest() for n in range(257))).hexdigest()
+  EXPECT_EQ(fold.Finish().ToHex(),
+            "740197f2831c5c43d18de5a75028010e654a0d3886d9af3808294bfd1b460bde");
+}
+
 // --- HMAC-SHA256 against RFC 4231 vectors -----------------------------------
 
+// Checks both entry points: the raw key, and a key prepared once.
+void ExpectHmac(const Bytes& key, const Bytes& data, const char* mac) {
+  EXPECT_EQ(HmacSha256(key, data).ToHex(), mac);
+  EXPECT_EQ(HmacSha256(MakeHmacKey(key), data).ToHex(), mac);
+}
+
 TEST(HmacTest, Rfc4231Case1) {
-  Bytes key(20, 0x0b);
-  Digest mac = HmacSha256(key, ToBytes("Hi There"));
-  EXPECT_EQ(mac.ToHex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  ExpectHmac(
+      Bytes(20, 0x0b), ToBytes("Hi There"),
+      "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
 TEST(HmacTest, Rfc4231Case2) {
-  Bytes key = ToBytes("Jefe");
-  Digest mac = HmacSha256(key, ToBytes("what do ya want for nothing?"));
-  EXPECT_EQ(mac.ToHex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  ExpectHmac(
+      ToBytes("Jefe"), ToBytes("what do ya want for nothing?"),
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
 TEST(HmacTest, Rfc4231Case3) {
-  Bytes key(20, 0xaa);
-  Bytes data(50, 0xdd);
-  Digest mac = HmacSha256(key, data);
-  EXPECT_EQ(mac.ToHex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  ExpectHmac(
+      Bytes(20, 0xaa), Bytes(50, 0xdd),
+      "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
 TEST(HmacTest, LongKeyIsHashedFirst) {
   // RFC 4231 test case 6: 131-byte key.
-  Bytes key(131, 0xaa);
-  Digest mac = HmacSha256(
-      key, ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(mac.ToHex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  ExpectHmac(
+      Bytes(131, 0xaa),
+      ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, PreparedKeyMatchesTextbookHmac) {
+  // RFC 2104 spelled out with one-shot hashes, against both entry points;
+  // one prepared key serves several messages unchanged.
+  Rng rng(77);
+  for (size_t key_len = 0; key_len <= 130; ++key_len) {
+    Bytes key(key_len);
+    for (uint8_t& b : key) b = static_cast<uint8_t>(rng.Next());
+    const Digest hashed_key = Sha256::Hash(key);
+    Bytes key_block =
+        key.size() > 64
+            ? Bytes(hashed_key.bytes.begin(), hashed_key.bytes.end())
+            : key;
+    key_block.resize(64, 0);
+    HmacKey prepared = MakeHmacKey(key);
+    for (size_t msg_len : {0u, 1u, 55u, 64u, 200u}) {
+      Bytes msg(msg_len);
+      for (uint8_t& b : msg) b = static_cast<uint8_t>(rng.Next());
+      Bytes inner_input;
+      Bytes outer_input;
+      for (uint8_t b : key_block) {
+        inner_input.push_back(b ^ 0x36);
+        outer_input.push_back(b ^ 0x5c);
+      }
+      inner_input.insert(inner_input.end(), msg.begin(), msg.end());
+      Digest inner = Sha256::Hash(inner_input);
+      outer_input.insert(outer_input.end(), inner.bytes.begin(),
+                         inner.bytes.end());
+      Digest expected = Sha256::Hash(outer_input);
+      EXPECT_EQ(HmacSha256(prepared, msg), expected)
+          << "key " << key_len << " msg " << msg_len;
+      EXPECT_EQ(HmacSha256(key, msg), expected)
+          << "key " << key_len << " msg " << msg_len;
+    }
+  }
 }
 
 TEST(HmacTest, ConstantTimeEquals) {
