@@ -1,113 +1,14 @@
 #include "core/batch_pipeline.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "txn/cd_vector.h"
-
 namespace transedge::core {
-
-namespace {
-
-/// Prepare-group ids already committed by an in-flight (decided-pending or
-/// proposed-undecided) predecessor batch. Groups in this set are spoken
-/// for: a new proposal must not commit them again, and their readiness
-/// must not trigger a new (otherwise empty) batch.
-std::set<BatchId> WindowCommittedGroups(const ProposalChain& chain) {
-  std::set<BatchId> committed;
-  for (const storage::Batch* p : chain.pending) {
-    for (const storage::CommitRecord& rec : p->committed) {
-      committed.insert(rec.prepared_in_batch);
-    }
-  }
-  return committed;
-}
-
-/// True when some ready prepare group is not yet committed by an in-flight
-/// batch — i.e. a new proposal would carry at least one commit record.
-bool HasUncommittedReadyGroup(NodeContext* ctx, const ProposalChain& chain) {
-  std::set<BatchId> window_committed = WindowCommittedGroups(chain);
-  for (const txn::PrepareGroup* group :
-       ctx->prepared_batches().ReadyPrefix()) {
-    if (window_committed.count(group->prepared_in_batch) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 BatchPipeline::BatchPipeline(NodeContext* ctx, Hooks hooks)
     : ctx_(ctx), hooks_(std::move(hooks)) {}
-
-void StartBatchTimerLoop(NodeContext* ctx, std::function<void()> try_propose) {
-  ctx->Schedule(ctx->config().batch_interval,
-                [ctx, try_propose = std::move(try_propose)]() mutable {
-                  if (ctx->byzantine() != ByzantineBehavior::kCrash) {
-                    try_propose();
-                  }
-                  StartBatchTimerLoop(ctx, std::move(try_propose));
-                });
-}
-
-bool ShouldProposeNow(NodeContext* ctx, bool proposing, size_t in_progress) {
-  if (!ctx->IsLeader() || ctx->ReproposalPending()) return false;
-  const bool decoupled = ctx->DecoupledApply();
-  if (decoupled) {
-    // Pipelined gate: up to EffectivePipelineDepth consensus instances may
-    // run concurrently. `proposing_` (cleared only when a batch *applies*)
-    // would re-serialize proposals on the storage stack.
-    if (ctx->ConsensusInFlight() >= ctx->EffectivePipelineDepth()) {
-      return false;
-    }
-  } else if (proposing) {
-    return false;
-  }
-  if (ctx->mutable_log().empty()) {
-    // Genesis batch, certifies preload state — once; with decoupled
-    // proposals the genesis instance may already be in flight.
-    return !decoupled || ctx->ConsensusInFlight() == 0;
-  }
-  if (in_progress > 0) return true;
-  // A ready prepare group justifies a batch only if no in-flight
-  // predecessor already committed it (else the batch would be empty).
-  if (HasUncommittedReadyGroup(ctx, ctx->proposal_chain())) return true;
-  return false;
-}
-
-void BatchPipeline::OnStart() {
-  StartBatchTimerLoop(ctx_, [this] {
-    if (ShouldPropose()) ProposeBatch();
-  });
-  // The genesis batch certifies the preloaded state right away so that
-  // read-only transactions have a certificate to verify against.
-  if (ctx_->byzantine() != ByzantineBehavior::kCrash && ShouldPropose()) {
-    ProposeBatch();
-  }
-}
-
-bool BatchPipeline::ShouldPropose() const {
-  return ShouldProposeNow(ctx_, proposing_, in_progress_size());
-}
-
-void BatchPipeline::MaybeProposeOnSize() {
-  if (hooks_.propose_on_size) {
-    // Shard mode: the coordinator watches the total in-progress size
-    // across all shards and proposes the merged batch.
-    hooks_.propose_on_size();
-    return;
-  }
-  bool slot_free =
-      ctx_->DecoupledApply()
-          ? ctx_->ConsensusInFlight() < ctx_->EffectivePipelineDepth()
-          : !proposing_;
-  if (ctx_->IsLeader() && slot_free && !ctx_->ReproposalPending() &&
-      in_progress_size() >= ctx_->config().max_batch_size) {
-    ProposeBatch();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Admission
@@ -123,11 +24,9 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
   if (inprog_index_.ConflictsWith(txn)) {
     return Status::Conflict("conflicts with in-progress batch");
   }
-  if (hooks_.peer_admit) {
-    // Shard mode: rule 2 continues across the other shards this
-    // transaction's footprint touches.
-    TE_RETURN_IF_ERROR(hooks_.peer_admit(txn));
-  }
+  // Rule 2 continues across the other shards this transaction's
+  // footprint touches.
+  TE_RETURN_IF_ERROR(hooks_.peer_admit(txn));
   if (ctx_->pending_footprint().ConflictsWith(txn)) {
     return Status::Conflict("conflicts with a prepared transaction");
   }
@@ -143,10 +42,10 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
 void BatchPipeline::RecordAdmitted(const Transaction& txn) {
   inprog_index_.Add(txn);
   indexed_.insert(txn.id);
-  if (hooks_.on_admitted) hooks_.on_admitted(txn);
+  hooks_.on_admitted(txn);
 }
 
-void BatchPipeline::HandleCommitRequest(sim::ActorId from,
+bool BatchPipeline::HandleCommitRequest(sim::ActorId from,
                                         const wire::CommitRequest& msg) {
   sim::ActorId client = msg.reply_to != 0 ? msg.reply_to : from;
   const Transaction& txn = msg.txn;
@@ -154,8 +53,10 @@ void BatchPipeline::HandleCommitRequest(sim::ActorId from,
   // entry already owns: hand the client back to 2PC instead of dedup-
   // swallowing or — worse — re-admitting it against its own pending
   // footprint.
-  if (hooks_.reattach_client && hooks_.reattach_client(txn.id, client)) return;
-  if (seen_txns_.count(txn.id) > 0) return;  // Duplicate / retry.
+  if (hooks_.reattach_client && hooks_.reattach_client(txn.id, client)) {
+    return false;
+  }
+  if (seen_txns_.count(txn.id) > 0) return false;  // Duplicate / retry.
 
   sim::Time done = ctx_->Charge(ctx_->config().cost.admit_per_txn);
   Status admit = AdmitCheck(txn);
@@ -164,7 +65,7 @@ void BatchPipeline::HandleCommitRequest(sim::ActorId from,
     if (!admit.ok()) {
       ++stats_.local_aborted;
       ctx_->ReplyCommit(client, txn.id, false, admit.message(), done);
-      return;
+      return false;
     }
     seen_txns_.insert(txn.id);
     inprog_local_.push_back(txn);
@@ -174,20 +75,19 @@ void BatchPipeline::HandleCommitRequest(sim::ActorId from,
     if (txn.coordinator != ctx_->partition()) {
       ctx_->ReplyCommit(client, txn.id, false, "wrong coordinator cluster",
                         done);
-      return;
+      return false;
     }
     if (!admit.ok()) {
       ++stats_.dist_aborted;
       ctx_->ReplyCommit(client, txn.id, false, admit.message(), done);
-      return;
+      return false;
     }
     seen_txns_.insert(txn.id);
     inprog_prepared_.push_back(txn);
     RecordAdmitted(txn);
     hooks_.begin_coordination(txn, client);
   }
-
-  MaybeProposeOnSize();
+  return true;
 }
 
 Status BatchPipeline::AdmitPrepared(const Transaction& txn) {
@@ -210,104 +110,8 @@ Status BatchPipeline::AdmitPrepared(const Transaction& txn) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch building
+// Draining into a proposal
 // ---------------------------------------------------------------------------
-
-storage::Batch BuildBatchFromSegments(NodeContext* ctx,
-                                      std::vector<Transaction> local,
-                                      std::vector<Transaction> prepared) {
-  const storage::SmrLog& log = ctx->mutable_log();
-  ProposalChain chain = ctx->proposal_chain();
-  storage::Batch batch;
-  batch.partition = ctx->partition();
-  batch.id = chain.next_id;
-  batch.local = std::move(local);
-  batch.prepared = std::move(prepared);
-
-  // Committed segment: the ready prefix of prepare groups, in prepare
-  // order (Definition 4.1). With predecessors in flight the LCE/CD chain
-  // continues from the newest pending batch, and groups it already
-  // committed are excluded.
-  BatchId lce;
-  txn::CdVector cd;
-  if (!chain.pending.empty()) {
-    lce = chain.pending.back()->ro.lce;
-    cd = chain.pending.back()->ro.cd_vector;
-  } else {
-    lce = log.empty() ? kNoBatch : log.back().batch.ro.lce;
-    cd = log.empty() ? txn::CdVector(ctx->config().num_partitions)
-                     : log.back().batch.ro.cd_vector;
-  }
-  if (cd.empty()) cd = txn::CdVector(ctx->config().num_partitions);
-
-  std::set<BatchId> window_committed = WindowCommittedGroups(chain);
-  for (const txn::PrepareGroup* group :
-       ctx->prepared_batches().ReadyPrefix()) {
-    if (window_committed.count(group->prepared_in_batch) > 0) continue;
-    for (const txn::PendingTxn& pending : group->txns) {
-      storage::CommitRecord rec;
-      rec.txn_id = pending.txn.id;
-      rec.committed = pending.state == txn::PendingTxn::State::kCommitted;
-      rec.prepared_in_batch = group->prepared_in_batch;
-      rec.participant_info = pending.participant_info;
-      rec.coordinator = pending.txn.coordinator;
-      batch.committed.push_back(std::move(rec));
-    }
-    lce = group->prepared_in_batch;
-  }
-
-  // Algorithm 1: derive the CD vector from the previous batch's vector
-  // and the CD vectors reported in the prepared messages of every commit
-  // record in the committed segment.
-  for (const storage::CommitRecord& rec : batch.committed) {
-    if (!rec.committed) continue;  // Aborts introduce no dependencies.
-    for (const storage::PreparedInfo& info : rec.participant_info) {
-      if (info.cd_vector.size() == cd.size()) cd.PairwiseMax(info.cd_vector);
-    }
-  }
-  cd.Set(ctx->partition(), batch.id);
-
-  batch.ro.cd_vector = std::move(cd);
-  batch.ro.lce = lce;
-  batch.ro.timestamp_us = ctx->now();
-  return batch;
-}
-
-void SealAndProposeBatch(
-    NodeContext* ctx, storage::Batch batch, sim::Time compute_cost,
-    const std::function<void(storage::Batch, merkle::MerkleTree)>& propose) {
-  ctx->Charge(compute_cost + ctx->config().cost.signature_op);
-
-  // Compute the post-state Merkle root on a structural-sharing clone of
-  // the chain head: the newest in-flight post-state when pipelining, the
-  // decided tree otherwise (identical to the applied tree under
-  // synchronous apply).
-  ProposalChain chain = ctx->proposal_chain();
-  merkle::MerkleTree post_tree = chain.head_tree->Clone();
-  const txn::PreparedBatches& prepared = ctx->prepared_batches();
-  post_tree.PutBatch(
-      storage::AppliedWrites(batch, ctx->partition_map(), ctx->partition(),
-                             [&](TxnId id) { return prepared.FindTxn(id); }),
-      batch.id);
-  batch.ro.merkle_root = post_tree.RootDigest();
-
-  propose(std::move(batch), std::move(post_tree));
-}
-
-storage::Batch BatchPipeline::BuildBatch() {
-  std::vector<Transaction> local;
-  std::vector<Transaction> prepared;
-  DrainSegments(&local, &prepared);
-  return BuildBatchFromSegments(ctx_, std::move(local), std::move(prepared));
-}
-
-void BatchPipeline::ProposeBatch() {
-  proposing_ = true;
-  storage::Batch batch = BuildBatch();
-  sim::Time cost = ctx_->BatchComputeCost(
-      batch.TotalTransactions(), ctx_->config().cost.admit_per_txn / 4);
-  SealAndProposeBatch(ctx_, std::move(batch), cost, hooks_.propose);
-}
 
 void BatchPipeline::DrainSegments(std::vector<Transaction>* local,
                                   std::vector<Transaction>* prepared) {
@@ -364,7 +168,6 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
                        [&](TxnId id) { return applied_ids.count(id) > 0; }),
         proposed_inflight_.end());
   }
-  proposing_ = false;
 
   // Local transactions are now committed — answer clients.
   sim::Time at = ctx_->busy_until();
@@ -379,7 +182,6 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
 }
 
 void BatchPipeline::OnViewChange() {
-  proposing_ = false;
   // Undecided admissions are abandoned — answer the waiting local clients
   // with a retryable abort (they re-issue against the new leader with the
   // same transaction id) instead of leaving them to hang.

@@ -12,21 +12,17 @@
 
 namespace transedge::core {
 
-/// Leader-side admission and batching (Definition 3.1, Figure 2): the
-/// in-progress transaction queues, the conflict footprint of everything
-/// in flight, batch construction (including the committed segment, LCE,
-/// and CD vector of the read-only segment), and the timer/size proposal
-/// triggers.
+/// One admission shard of the leader (Definition 3.1): the in-progress
+/// transaction queues, the conflict footprint of everything in flight,
+/// the waiting local clients and the 2PC dedup set for the transactions
+/// homed to it.
 ///
-/// The pipeline never talks to consensus or 2PC directly: a built batch
-/// leaves through the `propose` hook, and distributed transactions that
-/// pass admission are handed to `begin_coordination`.
-///
-/// When SystemConfig::pipeline_shards > 1 a ShardedPipeline hosts one
-/// BatchPipeline per key-range shard: each instance then runs admission
-/// only (the shard hooks below route cross-shard footprint checks), and
-/// the hosting coordinator owns the timer, the size trigger, and the
-/// merged proposal.
+/// A shard never proposes and never talks to consensus or 2PC directly:
+/// ShardedPipeline hosts one instance per key-range shard
+/// (SystemConfig::pipeline_shards, one by default) and owns the batch
+/// timer, the size trigger and the proposal, which drains every shard's
+/// segments. Distributed transactions that pass admission are handed to
+/// `begin_coordination`.
 class BatchPipeline {
  public:
   struct Stats {
@@ -37,8 +33,6 @@ class BatchPipeline {
   };
 
   struct Hooks {
-    /// Hands a freshly built batch (and its post-state tree) to consensus.
-    std::function<void(storage::Batch, merkle::MerkleTree)> propose;
     /// A distributed transaction passed admission with us as coordinator.
     std::function<void(const Transaction&, sim::ActorId)> begin_coordination;
     /// Consulted before dedup/admission of a commit request: true when a
@@ -50,25 +44,20 @@ class BatchPipeline {
     /// this (partition-restricted) writer.
     std::function<bool(const Transaction&)> ro_locks_block_writer;
 
-    // --- Shard hooks (set only by ShardedPipeline, shards > 1) ----------
+    // --- Shard hooks (set by ShardedPipeline) ---------------------------
     /// Definition 3.1 rule-2 check against the in-progress indexes of the
     /// other shards a cross-shard transaction touches.
     std::function<Status(const Transaction&)> peer_admit;
     /// A transaction passed admission here: record its footprint slices
     /// in the other touched shards.
     std::function<void(const Transaction&)> on_admitted;
-    /// Size trigger delegated to the coordinator, which watches the total
-    /// in-progress size across shards and proposes the merged batch.
-    std::function<void()> propose_on_size;
   };
 
   BatchPipeline(NodeContext* ctx, Hooks hooks);
 
-  /// Arms the batch timer and proposes the genesis batch when leader.
-  void OnStart();
-
-  /// Client commit request (leader only; the node routes).
-  void HandleCommitRequest(sim::ActorId from, const wire::CommitRequest& msg);
+  /// Client commit request (leader only; the node routes). True when the
+  /// transaction joined this shard's queues, so the size trigger is due.
+  bool HandleCommitRequest(sim::ActorId from, const wire::CommitRequest& msg);
 
   /// 2PC participant path: admission for a transaction another cluster
   /// coordinates. Marks the transaction seen and, on success, enqueues it
@@ -82,14 +71,11 @@ class BatchPipeline {
   /// in-progress index (admitted here and not yet applied or abandoned).
   bool HasIndexed(TxnId txn_id) const { return indexed_.count(txn_id) > 0; }
 
-  /// Proposes when the in-progress batch reached the size trigger (or
-  /// defers to the coordinator's trigger in shard mode).
-  void MaybeProposeOnSize();
-
   /// Post-apply bookkeeping for a decided batch `logged`: releases the
-  /// footprints and dedup entries of transactions this pipeline admitted
+  /// footprints and dedup entries of transactions this shard admitted
   /// (on every replica — a demoted leader must not keep stale state) and
-  /// answers local clients when leader.
+  /// answers its local clients when leader. Ids this shard never held
+  /// are ignored, so every shard is handed the whole batch.
   void OnBatchApplied(const storage::Batch& logged);
 
   /// A new view was adopted: abandon undecided admissions and abort-reply
@@ -97,7 +83,7 @@ class BatchPipeline {
   /// against the new leader).
   void OnViewChange();
 
-  // --- Shard-mode API (used by ShardedPipeline when shards > 1) ----------
+  // --- Cross-shard API (used by ShardedPipeline) -------------------------
   /// Definition 3.1 rule-2 check of `txn` against this shard's index.
   bool FootprintConflicts(const Transaction& txn) const {
     return inprog_index_.ConflictsWith(txn);
@@ -111,13 +97,10 @@ class BatchPipeline {
   void ReleasePeerFootprint(const Transaction& slice) {
     inprog_index_.Remove(slice);
   }
-  /// Moves this shard's admitted segments onto the merged batch (the
+  /// Moves this shard's admitted segments onto the proposed batch (the
   /// footprints stay indexed until the decided batch applies).
   void DrainSegments(std::vector<Transaction>* local,
                      std::vector<Transaction>* prepared);
-  /// Drains a decided distributed id from the dedup set (the sharded
-  /// coordinator fans an applied batch's commit records to every shard).
-  void ForgetSeen(TxnId txn_id) { seen_txns_.erase(txn_id); }
 
   size_t in_progress_size() const {
     return inprog_local_.size() + inprog_prepared_.size();
@@ -130,16 +113,12 @@ class BatchPipeline {
   const Stats& stats() const { return stats_; }
 
  private:
-  bool ShouldPropose() const;
-  void ProposeBatch();
-  storage::Batch BuildBatch();
-
   /// Definition 3.1 admission check for `txn` (full footprint; store
   /// checks restricted to this partition's keys).
   Status AdmitCheck(const Transaction& txn);
 
-  /// Indexes an admitted transaction's footprint (and fans the slices
-  /// out to peer shards in shard mode).
+  /// Indexes an admitted transaction's footprint and fans the slices
+  /// out to the peer shards it touches.
   void RecordAdmitted(const Transaction& txn);
 
   NodeContext* ctx_;
@@ -160,35 +139,8 @@ class BatchPipeline {
   /// their footprints are still indexed, so a view change must forget
   /// them from `seen_txns_` together with the queued ids.
   std::vector<TxnId> proposed_inflight_;
-  bool proposing_ = false;
   Stats stats_;
 };
-
-/// Builds the next batch from already-admitted segments: assigns the next
-/// log position, attaches the committed segment (the ready prefix of
-/// prepare groups, Definition 4.1), and computes the LCE and CD vector
-/// (Algorithm 1). Shared by the single pipeline and the sharded merge.
-storage::Batch BuildBatchFromSegments(NodeContext* ctx,
-                                      std::vector<Transaction> local,
-                                      std::vector<Transaction> prepared);
-
-/// Seals a built batch — post-state Merkle root on a structural-sharing
-/// clone — and hands it to `propose`. `compute_cost` is the simulated
-/// cost of constructing the batch (sharded leaders pay the superlinear
-/// term per shard).
-void SealAndProposeBatch(
-    NodeContext* ctx, storage::Batch batch, sim::Time compute_cost,
-    const std::function<void(storage::Batch, merkle::MerkleTree)>& propose);
-
-/// The when-to-propose policy both pipeline flavors share: leader, not
-/// already proposing, and (empty log => genesis) | queued admissions |
-/// a ready prepare group.
-bool ShouldProposeNow(NodeContext* ctx, bool proposing, size_t in_progress);
-
-/// Arms the recurring batch timer on every replica (only the current
-/// leader's `try_propose` does anything, so a freshly elected leader
-/// starts batching immediately); skipped while crash-stopped.
-void StartBatchTimerLoop(NodeContext* ctx, std::function<void()> try_propose);
 
 }  // namespace transedge::core
 

@@ -293,19 +293,38 @@ void Client::ExecuteReadOnly(std::vector<Key> keys, RoCallback done) {
   ArmRoTimeout(op_id);
 }
 
-Status Client::VerifyRoReply(const wire::RoReply& reply) {
+Status VerifyCertifiedReads(const crypto::Verifier& verifier,
+                            const SystemConfig& config, PartitionId partition,
+                            BatchId batch_id,
+                            const std::vector<wire::AuthenticatedRead>& entries,
+                            const storage::BatchCertificate& certificate) {
   // 1. Certificate: f+1 distinct replica signatures over
   //    (partition, batch, digest, root, ro-segment digest).
-  if (reply.certificate.partition != reply.partition ||
-      reply.certificate.batch_id != reply.batch_id) {
-    return Status::VerificationFailed("certificate does not match reply");
+  if (certificate.partition != partition || certificate.batch_id != batch_id) {
+    return Status::VerificationFailed("certificate does not match payload");
   }
-  TE_RETURN_IF_ERROR(reply.certificate.Verify(
-      *verifier_, config_.certificate_size(),
-      config_.ClusterMembers(reply.partition)));
+  TE_RETURN_IF_ERROR(certificate.Verify(verifier, config.certificate_size(),
+                                        config.ClusterMembers(partition)));
+  // 2. Every value against the Merkle root.
+  for (const wire::AuthenticatedRead& read : entries) {
+    if (read.found) {
+      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyProof(
+          read.proof, read.key, read.value, read.version,
+          certificate.merkle_root));
+    } else {
+      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyAbsence(
+          read.proof, read.key, certificate.merkle_root));
+    }
+  }
+  return Status::OK();
+}
 
-  // 2. Read-only segment authenticity: CD vector, LCE, and timestamp
-  //    must hash to the digest covered by the certificate.
+Status Client::VerifyRoReply(const wire::RoReply& reply) {
+  TE_RETURN_IF_ERROR(VerifyCertifiedReads(*verifier_, config_, reply.partition,
+                                          reply.batch_id, reply.entries,
+                                          reply.certificate));
+  // Read-only segment authenticity: CD vector, LCE, and timestamp must
+  // hash to the digest covered by the certificate.
   storage::ReadOnlySegment segment;
   segment.cd_vector = reply.cd_vector;
   segment.lce = reply.lce;
@@ -313,18 +332,6 @@ Status Client::VerifyRoReply(const wire::RoReply& reply) {
   segment.timestamp_us = reply.timestamp_us;
   if (segment.ComputeDigest() != reply.certificate.ro_digest) {
     return Status::VerificationFailed("read-only segment tampered");
-  }
-
-  // 3. Every value against the Merkle root (§4.2).
-  for (const wire::AuthenticatedRead& read : reply.entries) {
-    if (read.found) {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyProof(
-          read.proof, read.key, read.value, read.version,
-          reply.certificate.merkle_root));
-    } else {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyAbsence(
-          read.proof, read.key, reply.certificate.merkle_root));
-    }
   }
   return Status::OK();
 }

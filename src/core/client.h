@@ -54,6 +54,17 @@ struct ClientStats {
   uint64_t timeouts = 0;
 };
 
+/// The checks every certified read carries (§4.2): `certificate` is for
+/// (`partition`, `batch_id`), its f+1 signatures from the partition's
+/// cluster verify, and each entry proves its value (or absence) against
+/// the certified Merkle root. Read-only replies and watch payloads both
+/// pass through it.
+Status VerifyCertifiedReads(const crypto::Verifier& verifier,
+                            const SystemConfig& config, PartitionId partition,
+                            BatchId batch_id,
+                            const std::vector<wire::AuthenticatedRead>& entries,
+                            const storage::BatchCertificate& certificate);
+
 /// TransEdge client: builds transactions, talks to cluster leaders, and
 /// runs the client side of the read-only protocol — Merkle/certificate
 /// verification (§4.2) and the dependency check of Algorithm 2 with the

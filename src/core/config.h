@@ -108,11 +108,9 @@ struct SystemConfig {
   uint32_t num_partitions = 5;
 
   /// Number of admission shards the leader's batch pipeline runs over
-  /// disjoint key ranges. 1 (default) keeps the single-pipeline leader
-  /// byte-for-byte identical to the pre-sharding behavior; >1 admits
-  /// through per-shard conflict indexes and merges the shard segments
-  /// into one proposed batch, so consensus, 2PC, and the read-only path
-  /// are untouched.
+  /// disjoint key ranges (default 1). Each shard has its own conflict
+  /// index; one proposal loop drains every shard's segments into one
+  /// batch, so consensus, 2PC, and the read-only path are untouched.
   uint32_t pipeline_shards = 1;
 
   /// Key -> shard routing policy of the sharded pipeline.

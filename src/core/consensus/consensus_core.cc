@@ -340,8 +340,8 @@ void ConsensusCore::StartViewChangeTimer(BatchId batch_id) {
 
 void ConsensusCore::RequestViewChange(uint64_t target, BatchId demanded) {
   if (target <= view_) return;
-  // Every forwarded leader-bound message arms a progress timer, so the
-  // same demand can fire many times. Send it once per target view and
+  // Every forwarded commit request or 2PC leg arms a progress timer, so
+  // the same demand can fire many times. Send it once per target view and
   // log position; the escalation below carries it further.
   BatchId tail = ctx_->mutable_log().LastBatchId();
   if (target <= requested_view_ && tail == requested_tail_) return;

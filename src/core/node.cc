@@ -276,10 +276,12 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
 
   // Leader-bound traffic arriving at a follower (stale view at the
   // sender) is forwarded to the follower's current leader.
-  const bool leader_bound =
+  const bool owes_batch =
       type == MessageType::kCommitRequest ||
       type == MessageType::kCoordPrepare || type == MessageType::kPrepared ||
-      type == MessageType::kCommitRecord || type == MessageType::kRoRequest ||
+      type == MessageType::kCommitRecord;
+  const bool leader_bound =
+      owes_batch || type == MessageType::kRoRequest ||
       type == MessageType::kRoBatchRequest ||
       type == MessageType::kAugustusRoRequest ||
       type == MessageType::kAugustusRelease ||
@@ -288,9 +290,12 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
   if (leader_bound && !IsLeader()) {
     Send(config_.LeaderOf(partition_, consensus_->view()), msg,
          cpu_.busy_until());
-    // Expect the leader to make progress on the forwarded work; if the
-    // log does not advance, demand a view change (PBFT-style liveness).
-    consensus_->StartViewChangeTimer(backend_->log().LastBatchId() + 1);
+    // Work that owes a batch must make the log advance; if it does not,
+    // demand a view change (PBFT-style liveness). Reads and watches owe
+    // none, and an idle partition decides no batch for them.
+    if (owes_batch) {
+      consensus_->StartViewChangeTimer(backend_->log().LastBatchId() + 1);
+    }
     return;
   }
 

@@ -68,9 +68,9 @@ struct NodeStats {
 ///   - Consensus:        intra-cluster consensus on batches (§3.2),
 ///                       selected by SystemConfig::consensus_kind
 ///                       (PbftConsensus or LinearVoteConsensus)
-///   - ShardedPipeline:  leader admission and batch building (Figure 2),
-///                       optionally sharded over disjoint key ranges
-///                       (SystemConfig::pipeline_shards)
+///   - ShardedPipeline:  leader admission and the one proposal loop
+///                       (Figure 2), over SystemConfig::pipeline_shards
+///                       admission shards on disjoint key ranges
 ///   - TwoPcCoordinator: cross-cluster 2PC (§3.3)
 ///   - ReadOnlyService:  authenticated read-only serving (§4.2–4.4)
 ///   - AugustusBaseline: locking read-only baseline (Figures 5–7)

@@ -1,7 +1,10 @@
 #ifndef TRANSEDGE_CORE_SHARDED_PIPELINE_H_
 #define TRANSEDGE_CORE_SHARDED_PIPELINE_H_
 
+#include <functional>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/batch_pipeline.h"
@@ -31,40 +34,43 @@ class ShardKeyRouter {
   ShardRouterKind kind_;
 };
 
-/// The leader's sharded admission path (ROADMAP "sharded batching"): N
-/// BatchPipeline instances over disjoint key ranges, one merged proposal.
-///
-/// With pipeline_shards == 1 every call passes straight through to the
-/// single BatchPipeline — byte-for-byte the pre-sharding behavior. With
-/// N > 1 each shard owns the admission queues, conflict index, waiting
-/// clients, and dedup set for the transactions homed to it (home = the
-/// lowest shard its footprint touches):
+/// The leader's admission front end and its one proposal loop (Figure
+/// 2): N BatchPipeline admission shards over disjoint key ranges, one
+/// proposed batch. N is SystemConfig::pipeline_shards; the default of 1
+/// runs the same code with a single shard. Each shard owns the admission
+/// queues, conflict index, waiting clients, and dedup set for the
+/// transactions homed to it (home = the lowest shard its footprint
+/// touches):
 ///
 ///   - admission routes a commit request / coordinator prepare to its
 ///     home shard; Definition 3.1's rule 2 continues across the other
 ///     touched shards through the peer_admit hook, and the footprint
 ///     slices of a cross-shard transaction are recorded in every shard
 ///     they fall in, so two shards can never admit conflicting work;
-///   - the coordinator owns the batch timer, the size trigger (total
-///     in-progress size across shards), and the merged proposal: shard
+///   - this class owns the batch timer, the size trigger (total
+///     in-progress size across shards), and the proposal: shard
 ///     segments are concatenated deterministically (by shard index, then
-///     admission order within the shard) and BuildBatchFromSegments
-///     computes one committed segment / LCE / CD vector / Merkle root,
-///     so consensus, 2PC, and the read-only path see a perfectly
-///     ordinary batch;
+///     admission order within the shard) into one batch with one
+///     committed segment / LCE / CD vector / Merkle root, so consensus,
+///     2PC, and the read-only path see a perfectly ordinary batch;
 ///   - the superlinear batch-construction pressure term is paid per
 ///     shard (NodeContext::ShardedBatchComputeCost), which is what lifts
 ///     the single-conflict-index admission bottleneck at high client
 ///     counts.
 class ShardedPipeline {
  public:
-  using Hooks = BatchPipeline::Hooks;
+  /// The node-level hooks: the shards' begin_coordination,
+  /// reattach_client and ro_locks_block_writer (the shard hooks are wired
+  /// internally), plus `propose`.
+  struct Hooks : BatchPipeline::Hooks {
+    /// Hands a freshly built batch (and its post-state tree) to consensus.
+    std::function<void(storage::Batch, merkle::MerkleTree)> propose;
+  };
   using Stats = BatchPipeline::Stats;
 
-  /// `hooks` carries the node-level hooks (propose, begin_coordination,
-  /// ro_locks_block_writer); the shard hooks are wired internally.
   ShardedPipeline(NodeContext* ctx, Hooks hooks);
 
+  /// Arms the batch timer and proposes the genesis batch when leader.
   void OnStart();
   void HandleCommitRequest(sim::ActorId from, const wire::CommitRequest& msg);
   Status AdmitPrepared(const Transaction& txn);
@@ -72,6 +78,8 @@ class ShardedPipeline {
   /// True while some shard still holds the id's footprint (admitted,
   /// neither applied nor abandoned).
   bool HasIndexed(TxnId txn_id) const;
+  /// Proposes when the in-progress size across shards reached the size
+  /// trigger and a consensus slot is free.
   void MaybeProposeOnSize();
   void OnBatchApplied(const storage::Batch& logged);
   void OnViewChange();
@@ -89,8 +97,6 @@ class ShardedPipeline {
   }
 
  private:
-  bool single() const { return shards_.size() == 1; }
-
   /// One transaction's routing, computed with a single hash per key:
   /// per-key shard choices (parallel to the read/write sets) plus the
   /// distinct touched shards, ascending ({0} for an empty footprint —
@@ -113,15 +119,25 @@ class ShardedPipeline {
   /// The subset of `txn`'s footprint routed to `shard`.
   Transaction SliceToShard(const Transaction& txn, uint32_t shard) const;
 
+  /// Arms the recurring batch timer on every replica (only the current
+  /// leader proposes, so a freshly elected leader starts batching
+  /// immediately); a crash-stopped replica's tick proposes nothing.
+  void ArmBatchTimer();
+  /// Leader, not already proposing, and (empty log => genesis) | queued
+  /// admissions | a ready prepare group no in-flight batch committed.
   bool ShouldPropose() const;
-  void ProposeMerged();
+  void ProposeBatch();
 
   NodeContext* ctx_;
   Hooks hooks_;
   ShardKeyRouter router_;
   std::vector<std::unique_ptr<BatchPipeline>> shards_;
   mutable ShardPlan plan_;  // Last-transaction routing memo.
-  bool proposing_ = false;  // Merged-proposal flag (shards > 1 only).
+  /// Footprint slices recorded in peer shards, per cross-shard admission,
+  /// released exactly as recorded when the transaction applies.
+  std::unordered_map<TxnId, std::vector<std::pair<uint32_t, Transaction>>>
+      peer_slices_;
+  bool proposing_ = false;
 };
 
 }  // namespace transedge::core

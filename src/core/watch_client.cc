@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "merkle/merkle_tree.h"
+#include "core/client.h"
 
 namespace transedge::core {
 
@@ -102,29 +102,6 @@ void WatchClient::Subscribe(PartitionId p, BatchId resume_from) {
   ArmIdleTimer(p);
 }
 
-Status WatchClient::VerifyCertifiedEntries(
-    PartitionId partition, BatchId batch_id,
-    const std::vector<wire::AuthenticatedRead>& entries,
-    const storage::BatchCertificate& certificate) const {
-  if (certificate.partition != partition || certificate.batch_id != batch_id) {
-    return Status::VerificationFailed("certificate does not match payload");
-  }
-  TE_RETURN_IF_ERROR(certificate.Verify(*verifier_,
-                                        config_.certificate_size(),
-                                        config_.ClusterMembers(partition)));
-  for (const wire::AuthenticatedRead& read : entries) {
-    if (read.found) {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyProof(
-          read.proof, read.key, read.value, read.version,
-          certificate.merkle_root));
-    } else {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyAbsence(
-          read.proof, read.key, certificate.merkle_root));
-    }
-  }
-  return Status::OK();
-}
-
 void WatchClient::ApplyEntries(
     BatchId batch_id, const std::vector<wire::AuthenticatedRead>& entries) {
   for (const wire::AuthenticatedRead& read : entries) {
@@ -151,8 +128,9 @@ void WatchClient::HandleSubscribeReply(const wire::WatchSubscribeReply& msg) {
     ArmIdleTimer(msg.partition);
     return;
   }
-  Status verified = VerifyCertifiedEntries(msg.partition, msg.batch_id,
-                                           msg.entries, msg.certificate);
+  Status verified = VerifyCertifiedReads(*verifier_, config_, msg.partition,
+                                         msg.batch_id, msg.entries,
+                                         msg.certificate);
   if (!verified.ok()) {
     ++stats_.verification_failures;
     return;
@@ -197,8 +175,9 @@ void WatchClient::HandleDelta(const wire::WatchDeltaMsg& msg) {
     Subscribe(msg.partition, sub.last_seen);
     return;
   }
-  Status verified = VerifyCertifiedEntries(msg.partition, msg.batch_id,
-                                           msg.entries, msg.certificate);
+  Status verified = VerifyCertifiedReads(*verifier_, config_, msg.partition,
+                                         msg.batch_id, msg.entries,
+                                         msg.certificate);
   if (!verified.ok()) {
     ++stats_.verification_failures;
     return;

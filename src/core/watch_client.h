@@ -98,14 +98,6 @@ class WatchClient : public sim::Actor {
   void HandleDelta(const wire::WatchDeltaMsg& msg);
   void HandleResubscribeRequired(const wire::WatchResubscribeRequired& msg);
 
-  /// Certificate + per-key proof verification, mirroring the round-1
-  /// read-only check (§4.2) minus the ro-segment digest (watch payloads
-  /// carry no CD vector).
-  Status VerifyCertifiedEntries(
-      PartitionId partition, BatchId batch_id,
-      const std::vector<wire::AuthenticatedRead>& entries,
-      const storage::BatchCertificate& certificate) const;
-
   void ApplyEntries(BatchId batch_id,
                     const std::vector<wire::AuthenticatedRead>& entries);
 

@@ -652,6 +652,88 @@ TEST_P(EngineSafetyTest, LaggingReplicaCatchesUpWithoutViewChange) {
   EXPECT_EQ(ToString(v->value), "after");
 }
 
+// Counts the read-only replies a hand-driven client receives.
+struct RoReplyCounter : sim::Actor {
+  int replies = 0;
+  void OnMessage(sim::ActorId, const sim::MessagePtr& msg) override {
+    if (static_cast<wire::MessageType>(msg->type()) ==
+        wire::MessageType::kRoReply) {
+      ++replies;
+    }
+  }
+};
+
+TEST_P(EngineSafetyTest, ReadsAtAnIdleFollowerDemandNoViewChange) {
+  // A follower forwards leader-bound reads and watch requests, but only
+  // forwards that owe a batch (commit requests and 2PC legs) may arm its
+  // progress timer: a fault-free partition with no writes decides no
+  // batch for a read, so a timer armed by one would depose a healthy
+  // leader.
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
+  System system(config, FastEnv());
+  auto data = TestData(1);
+  system.Preload(data);
+  int view_change_msgs = 0;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId, const sim::MessagePtr& msg) {
+        auto type = static_cast<wire::MessageType>(msg->type());
+        if (type == wire::MessageType::kLinearViewChange ||
+            type == wire::MessageType::kLinearNewView) {
+          ++view_change_msgs;
+        }
+        return true;
+      });
+  system.Start();
+  system.env().RunUntil(sim::Millis(50));  // Genesis decided everywhere.
+
+  RoReplyCounter probe;
+  const sim::ActorId probe_id = config.ClientNode(1000);
+  system.env().network().Register(probe_id, /*site=*/0, &probe);
+  const crypto::NodeId follower = config.ReplicaNode(0, 1);
+  auto send = [&](auto msg) {
+    system.env().network().Send(probe_id, follower,
+                                core::ShareMsg(std::move(msg)));
+  };
+  // Ten view-change timeouts of reads, watches and unwatches.
+  const int rounds = 50;
+  const sim::Time every = config.view_change_timeout / 5;
+  for (int i = 0; i < rounds; ++i) {
+    system.env().Schedule(every * i, [&, i] {
+      const uint64_t id = static_cast<uint64_t>(i);
+      wire::RoRequest ro;
+      ro.request_id = 2 * id;
+      ro.reply_to = probe_id;
+      ro.keys = {data[0].first};
+      send(std::move(ro));
+      wire::RoBatchRequest round2;
+      round2.request_id = 2 * id + 1;
+      round2.reply_to = probe_id;
+      round2.keys = {data[1].first};
+      round2.min_lce = kNoBatch;
+      send(std::move(round2));
+      wire::WatchSubscribeRequest watch;
+      watch.watch_id = id;
+      watch.reply_to = probe_id;
+      watch.range_lo = "k";
+      watch.range_hi = "k~";
+      send(std::move(watch));
+      wire::WatchUnsubscribe unwatch;
+      unwatch.watch_id = id;
+      unwatch.reply_to = probe_id;
+      send(std::move(unwatch));
+    });
+  }
+  system.env().RunUntil(system.env().now() + every * rounds +
+                        2 * config.view_change_timeout);
+
+  // The forwards reached the leader, which answered every read.
+  EXPECT_EQ(probe.replies, 2 * rounds);
+  EXPECT_EQ(view_change_msgs, 0);
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
+}
+
 TEST_F(LinearVoteTest, EquivocatingLeaderCannotCertifyEitherVariant) {
   SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
                                    /*partitions=*/1);
