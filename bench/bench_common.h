@@ -1,11 +1,11 @@
 #ifndef TRANSEDGE_BENCH_BENCH_COMMON_H_
 #define TRANSEDGE_BENCH_BENCH_COMMON_H_
 
-// Shared harness for the per-figure bench binaries. Every bench builds a
-// full simulated deployment with the paper's §5.1 setup (5 clusters of
-// 3f+1 = 7 replicas, hashed keys, YCSB-style transaction mixes), drives
-// it with closed-loop clients, and prints the rows/series of the
-// corresponding figure or table. All latencies/throughputs are measured
+// Shared harness for bench_paper's figure and table entries and the
+// subsystem benches. Every bench builds a full simulated deployment with
+// the paper's §5.1 setup (5 clusters of 3f+1 = 7 replicas, hashed keys,
+// YCSB-style transaction mixes), drives it with closed-loop clients, and
+// prints a table or a JSON line. All latencies/throughputs are measured
 // in simulated time and are fully deterministic for a given seed.
 
 #include <cstdio>
@@ -41,8 +41,8 @@ struct BenchSetup {
     setup.config.merkle_depth = 13;
     // Cost-model calibration (see ARCHITECTURE.md §Design notes): the
     // fixed per-batch consensus cost amortizes with batch size while the
-    // quadratic term (conflict-index and Merkle churn) grows, reproducing
-    // the paper's 2000-2500-transaction batching sweet spot (Figure 9).
+    // quadratic term (conflict-index and Merkle churn) grows, aiming at the
+    // paper's 2000-2500-transaction sweet spot (Figure 9; not reached yet).
     setup.config.cost.admit_per_txn = sim::Micros(2);
     setup.config.cost.validate_per_txn = sim::Micros(6);
     setup.config.cost.apply_per_txn = sim::Micros(3);

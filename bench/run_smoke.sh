@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Smoke benchmark: runs the micro-benchmarks and a shrunken Figure-4
-# bench with tiny parameters and emits one JSON document, seeding the
-# BENCH_*.json perf trajectory. The benches run one after another on
-# one core: about 90 s wall time for a Release build on a 4-core Xeon
-# host with the SHA extensions. The top-level "host" object records each
-# bench's wall seconds.
+# Smoke benchmark: runs the micro-benchmarks, the subsystem benches and
+# bench_paper's Figure 4 entry with tiny parameters and emits one JSON
+# document, seeding the BENCH_*.json perf trajectory. The benches run
+# one after another on one core: about 90 s wall time for a Release
+# build on a 4-core Xeon host with the SHA extensions. The top-level
+# "host" object records each bench's wall seconds.
 #
 # Usage: bench/run_smoke.sh [output.json]
 #   BUILD_DIR  build tree holding the bench binaries (default: build)
@@ -14,13 +14,16 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_smoke.json}
 
-# Each smoke bench NAME is the binary bench_NAME and the JSON key NAME.
+# Each smoke bench NAME is the JSON key NAME and runs the binary
+# bench_NAME, except where COMMAND maps it to a bench_paper entry.
 BENCHES=(fig04_ro_latency shard_scaling consensus_compare apply_pipeline
          durability watch_fanout)
+declare -A COMMAND=([fig04_ro_latency]="bench_paper fig04")
 
 for name in "${BENCHES[@]}"; do
-  if [[ ! -x "$BUILD_DIR/bench_$name" ]]; then
-    echo "error: $BUILD_DIR/bench_$name not built" >&2
+  read -r -a cmd <<< "${COMMAND[$name]:-bench_$name}"
+  if [[ ! -x "$BUILD_DIR/${cmd[0]}" ]]; then
+    echo "error: $BUILD_DIR/${cmd[0]} not built" >&2
     echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
     exit 1
   fi
@@ -28,8 +31,10 @@ done
 
 declare -A json host
 for name in "${BENCHES[@]}"; do
+  read -r -a cmd <<< "${COMMAND[$name]:-bench_$name}"
   start=$EPOCHREALTIME
-  json[$name]=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_$name" | grep '^{')
+  json[$name]=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/${cmd[0]}" "${cmd[@]:1}" |
+                grep '^{')
   host[$name]=$(awk -v a="$start" -v b="$EPOCHREALTIME" \
     'BEGIN { printf "%.1f", b - a }')
 done

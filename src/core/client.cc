@@ -62,23 +62,25 @@ void Client::ExecuteReadWrite(std::vector<Key> read_keys,
   op.start = env_->now();
   op.txn_id = MakeTxnId(id_, next_txn_seq_++);
   txn_op_[op.txn_id] = op_id;
+  StartRw(op_id, &op);
+}
 
-  if (op.read_keys.empty()) {
-    SendCommit(&op);
-    ArmRwTimeout(op_id);
-    return;
-  }
-  for (const Key& key : op.read_keys) {
-    uint64_t req = next_request_id_++;
-    request_op_[req] = op_id;
-    op.read_request_keys[req] = key;
-    ++op.reads_outstanding;
-    wire::ClientReadRequest msg;
-    msg.request_id = req;
-    msg.reply_to = id_;
-    msg.key = key;
-    env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
-                         Share(std::move(msg)));
+void Client::StartRw(uint64_t op_id, RwOp* op) {
+  if (op->read_keys.empty()) {
+    SendCommit(op);
+  } else {
+    for (const Key& key : op->read_keys) {
+      uint64_t req = next_request_id_++;
+      request_op_[req] = op_id;
+      op->read_request_keys[req] = key;
+      ++op->reads_outstanding;
+      wire::ClientReadRequest msg;
+      msg.request_id = req;
+      msg.reply_to = id_;
+      msg.key = key;
+      env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
+                           Share(std::move(msg)));
+    }
   }
   ArmRwTimeout(op_id);
 }
@@ -228,23 +230,7 @@ bool Client::RetryRw(uint64_t op_id) {
   fresh.txn_id = txn_id;
   fresh.retries_left = retries;
   txn_op_[txn_id] = new_op;
-  if (fresh.read_keys.empty()) {
-    SendCommit(&fresh);
-  } else {
-    for (const Key& key : fresh.read_keys) {
-      uint64_t req = next_request_id_++;
-      request_op_[req] = new_op;
-      fresh.read_request_keys[req] = key;
-      ++fresh.reads_outstanding;
-      wire::ClientReadRequest msg;
-      msg.request_id = req;
-      msg.reply_to = id_;
-      msg.key = key;
-      env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
-                           Share(std::move(msg)));
-    }
-  }
-  ArmRwTimeout(new_op);
+  StartRw(new_op, &fresh);
   return true;
 }
 
@@ -438,7 +424,6 @@ void Client::StartRoRound2(uint64_t op_id,
   auto op_it = ro_ops_.find(op_id);
   if (op_it == ro_ops_.end()) return;
   RoOp& op = op_it->second;
-  op.second_round = true;
   ++op.rounds;
   for (const auto& [partition, min_lce] : needed) {
     uint64_t req = next_request_id_++;
@@ -491,7 +476,6 @@ void Client::ExecuteAugustusReadOnly(std::vector<Key> keys, RoCallback done) {
   op.keys = std::move(keys);
   op.done = std::move(done);
   op.start = env_->now();
-  op.augustus = true;
   for (const Key& key : op.keys) {
     op.by_partition[partition_map_.OwnerOf(key)].push_back(key);
   }
@@ -513,13 +497,11 @@ void Client::HandleAugustusRoReply(const wire::AugustusRoReply& msg) {
   auto req_it = request_op_.find(msg.request_id);
   if (req_it == request_op_.end()) return;
   uint64_t op_id = req_it->second;
-  uint64_t request_id = msg.request_id;
   request_op_.erase(req_it);
   auto op_it = ro_ops_.find(op_id);
   if (op_it == ro_ops_.end()) return;
   RoOp& op = op_it->second;
 
-  (void)request_id;
   op.augustus_replies[msg.partition] = msg;
   if (--op.outstanding > 0) return;
 

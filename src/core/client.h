@@ -107,7 +107,7 @@ class Client : public sim::Actor {
 
   /// Ablation knob: disables Algorithm 2 entirely (Merkle verification
   /// only, no cross-partition dependency check, never a second round).
-  /// Used by bench_ablation_dependency to show the torn snapshots the
+  /// bench_paper's ablation entry uses it to show the torn snapshots the
   /// paper's Figure 1 warns about.
   void set_verify_dependencies(bool on) { verify_dependencies_ = on; }
 
@@ -131,7 +131,6 @@ class Client : public sim::Actor {
     RoCallback done;
     sim::Time start = 0;
     int rounds = 1;
-    bool augustus = false;
     /// partition -> keys of that partition.
     std::map<PartitionId, std::vector<Key>> by_partition;
     /// Verified replies, round 1 then overwritten by round 2.
@@ -139,10 +138,8 @@ class Client : public sim::Actor {
     std::map<PartitionId, wire::AugustusRoReply> augustus_replies;
     std::map<PartitionId, uint64_t> augustus_request_ids;
     size_t outstanding = 0;
-    bool second_round = false;
     sim::Time round1_done = 0;
     bool fresh = true;
-    int retries_left = 3;
     uint64_t epoch = 0;
   };
 
@@ -151,6 +148,9 @@ class Client : public sim::Actor {
   void HandleRoReply(const wire::RoReply& msg);
   void HandleAugustusRoReply(const wire::AugustusRoReply& msg);
 
+  /// Sends `op`'s reads to the owning leaders (or its commit, when it
+  /// reads nothing) and arms its timeout.
+  void StartRw(uint64_t op_id, RwOp* op);
   void SendCommit(RwOp* op);
   void FinishRw(uint64_t op_id, RwResult result);
   void FinishRo(uint64_t op_id, RoResult result);
@@ -182,7 +182,7 @@ class Client : public sim::Actor {
   sim::Environment* env_;
   const crypto::Verifier* verifier_;
   storage::PartitionMap partition_map_;
-  mutable std::vector<uint64_t> view_hint_;
+  std::vector<uint64_t> view_hint_;
 
   uint64_t next_request_id_;
   uint32_t next_txn_seq_ = 1;

@@ -101,23 +101,23 @@ class Consensus {
   /// view-change re-proposal (a batch carried over from the previous
   /// view for safety). The batch pipeline must not build a competing
   /// proposal for that id; it resumes once the re-proposal decides.
-  virtual bool HasPendingReproposal() const { return false; }
+  virtual bool HasPendingReproposal() const = 0;
 
   /// Number of proposed-but-undecided instances currently in flight
   /// (ids above the log tail that carry a proposal). The batch pipeline
   /// gates new proposals on `InFlight() < EffectivePipelineDepth()`.
-  virtual size_t InFlight() const { return 0; }
+  virtual size_t InFlight() const = 0;
 
-  /// Deepest proposal pipeline the engine supports. Engines without
-  /// chained safety machinery pin this to 1 regardless of
-  /// `SystemConfig::pipeline_depth`.
+  /// Deepest proposal pipeline the engine supports, whatever
+  /// `SystemConfig::pipeline_depth` asks for. PBFT keeps this default of
+  /// 1; the linear-vote engine chains proposals and raises it.
   virtual uint32_t MaxPipelineDepth() const { return 1; }
 
   /// In-flight proposals in log order plus the Merkle tree positioned
-  /// after the last of them, for chaining the next proposal. Engines
-  /// that pin MaxPipelineDepth() to 1 keep the default (empty chain:
-  /// the node fills in log tail + 1 and the decided tree). Borrowed
-  /// pointers — valid only until the engine next mutates its instances.
+  /// after the last of them, for chaining the next proposal. PBFT, at
+  /// depth 1, keeps the default (empty chain: the node fills in log
+  /// tail + 1 and the decided tree). Borrowed pointers — valid only
+  /// until the engine next mutates its instances.
   virtual ProposalChain Chain() { return ProposalChain{}; }
 
   virtual const Stats& stats() const = 0;

@@ -20,8 +20,9 @@ class PbftConsensus : public ConsensusCore {
  public:
   PbftConsensus(NodeContext* ctx, Hooks hooks);
 
-  /// PBFT keeps the Consensus default MaxPipelineDepth() == 1 and
-  /// advances only the instance at the log tail + 1.
+  /// PBFT does not chain proposals: it keeps the Consensus defaults
+  /// (MaxPipelineDepth() == 1, empty Chain()) and advances only the
+  /// instance at the log tail + 1.
   void AdvanceConsensus() override;
 
  private:

@@ -74,7 +74,7 @@ class NodeContext {
   /// True while the consensus engine holds a view-change re-proposal for
   /// the next log position (Consensus::HasPendingReproposal); the batch
   /// pipeline must not build a competing batch for that slot.
-  virtual bool ReproposalPending() const { return false; }
+  virtual bool ReproposalPending() const = 0;
   virtual ByzantineBehavior byzantine() const = 0;
 
   // --- Simulated clock & CPU ---------------------------------------------
@@ -122,7 +122,7 @@ class NodeContext {
   /// serving — including the RO service's out-of-window floor — must
   /// floor here, never at a structure-specific notion of "oldest". Equals
   /// the snapshot window base under every backend.
-  virtual BatchId history_horizon() const { return snapshot_base(); }
+  BatchId history_horizon() const { return snapshot_base(); }
 
   // --- Decided vs. applied watermarks --------------------------------------
   /// Highest batch id whose writes have reached the store and tree
@@ -137,10 +137,10 @@ class NodeContext {
   virtual const merkle::MerkleTree& decided_tree() = 0;
 
   /// Number of proposed-but-undecided consensus instances in flight.
-  virtual size_t ConsensusInFlight() const { return 0; }
+  virtual size_t ConsensusInFlight() const = 0;
 
   /// min(config().pipeline_depth, engine's MaxPipelineDepth).
-  virtual uint32_t EffectivePipelineDepth() const { return 1; }
+  virtual uint32_t EffectivePipelineDepth() const = 0;
 
   /// Chain state for building the next proposal on top of in-flight
   /// instances; degenerates to (log tail + 1, {}, decided tree) when
